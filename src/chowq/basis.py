@@ -10,10 +10,13 @@ factors, stored as a set of factor tuples (adding a term twice cancels it).
 
 from __future__ import annotations
 
-import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from itertools import chain, compress, product, repeat
+from operator import ge, gt, is_, le, lt
+from typing import Iterable
 
 
 class GeometryError(ValueError):
@@ -28,11 +31,134 @@ class CycleSyntaxError(ValueError):
     """Raised when cycle text does not conform to the grammar."""
 
 
-class BasisFactor(NamedTuple):
-    """A single factor h^i or l_i; kind is "h" or "l", index is in [0, d]."""
+def _factor_order(op):
+    """A comparison of basis factors by (kind, index), "h" < "l"; ints compare as ints."""
 
-    kind: str
-    index: int
+    def compare(self, other):
+        if type(other) is not BasisFactor:
+            return NotImplemented
+        return op((self & 1, self >> 1), (other & 1, other >> 1))
+
+    return compare
+
+
+class BasisFactor(int):
+    """A single factor h^i or l_i; kind is "h" or "l", index is in [0, d].
+
+    The int value is the code 2 * index + (kind == "l").  It does not depend
+    on the geometry: the factors of one geometry have the codes 0..2d+1, which
+    index its FactorTables.  There is one instance per code, so equality and
+    hashing stay int's; ordering is that of (kind, index), every h before every l.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int) -> "BasisFactor":
+        if kind not in ("h", "l"):
+            raise ValueError(f"unknown factor kind {kind!r}")
+        if not isinstance(index, int) or index < 0:
+            raise GeometryError(f"factor index {index!r} is not a non-negative integer")
+        code = 2 * index + (kind == "l")
+        f = _INTERNED.get(code)
+        if f is None:
+            f = _INTERNED[code] = int.__new__(cls, code)
+        return f
+
+    @property
+    def kind(self) -> str:
+        return "l" if self & 1 else "h"
+
+    @property
+    def index(self) -> int:
+        return self >> 1
+
+    def __repr__(self) -> str:
+        return f"BasisFactor(kind={self.kind!r}, index={self.index!r})"
+
+    def __reduce__(self):
+        return BasisFactor, (self.kind, self.index)
+
+    __lt__, __le__, __gt__, __ge__ = map(_factor_order, (lt, le, gt, ge))
+
+
+_INTERNED: dict[int, BasisFactor] = {}
+
+
+def _interleave(even: list, odd: list) -> list:
+    """The list with even[i] at position 2i and odd[i] at 2i + 1: h^i and l_i by code."""
+    out = [None] * (2 * len(even))
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
+def binom_mod2(n: int, k: int) -> int:
+    """C(n, k) mod 2; zero when k > n or k < 0."""
+    if k < 0 or k > n:
+        return 0
+    return 1 if (k & ~n) == 0 else 0
+
+
+class FactorTables:
+    """Arithmetic of the factors of one quadric dimension D, as lists indexed by code.
+
+    Products: h^(d+1) = 0, h * l_i = l_(i-1) with l_(-1) = 0, and l_d * l_d =
+    (D+1)(d+1) * l_0 mod 2.  Every other l_i * l_j vanishes: writing l_j =
+    h^(d-j) * l_d forces l_i * l_j = h^(d-i) h^(d-j) l_d^2 = 0 for (i, j) !=
+    (d, d).  Total Steenrod images: S(h^i) = h^i (1+h)^i and S(l_i) =
+    l_i (1+h)^(D-i+1).  The product, partner and Steenrod tables are built on
+    first use; product rows are assembled from slices of the factor lists.
+    """
+
+    def __init__(self, D: int) -> None:
+        d = D // 2
+        self.D, self.d = D, d
+        self.h = [BasisFactor("h", i) for i in range(d + 1)]
+        self.l = [BasisFactor("l", i) for i in range(d + 1)]
+        self.factors = _interleave(self.h, self.l)
+        self.valid = frozenset(self.factors)
+        self.dims = _interleave(list(range(D, D - d - 1, -1)), list(range(d + 1)))
+        self.order = _interleave(list(range(d + 1)), list(range(d + 1, 2 * d + 2)))
+        self.middle_square = (D + 1) * (d + 1) % 2 == 1  # l_d * l_d = l_0
+
+    @cached_property
+    def prod(self) -> list[list[BasisFactor | None]]:
+        """prod[a][b] is the factor a * b, or None where the product vanishes."""
+        d, H, L = self.d, self.h, self.l
+        rows = []
+        for i in range(d + 1):
+            zeros = [None] * i
+            rows.append(_interleave(H[i:] + zeros, zeros + L[: d + 1 - i]))
+            rows.append(_interleave(L[i::-1] + [None] * (d - i), [None] * (d + 1)))
+        if self.middle_square:
+            rows[-1][-1] = L[0]
+        return rows
+
+    @cached_property
+    def times(self) -> list:
+        """times[a] is the map b -> a * b, as prod[a].__getitem__."""
+        return [row.__getitem__ for row in self.prod]
+
+    @cached_property
+    def partners(self) -> list[tuple[BasisFactor, ...]]:
+        """partners[f] lists the factors g with f * g = l_0."""
+        l0 = self.l[0]
+        return [tuple(compress(self.factors, map(is_, row, repeat(l0)))) for row in self.prod]
+
+    @cached_property
+    def steenrod(self) -> list[tuple[BasisFactor, ...]]:
+        """steenrod[f] lists the factors of the total Steenrod image of f."""
+        D, d, H, L = self.D, self.d, self.h, self.l
+        return _interleave(
+            [tuple(H[i + k] for k in range(d - i + 1) if binom_mod2(i, k)) for i in range(d + 1)],
+            [
+                tuple(L[i - k] for k in range(i + 1) if binom_mod2(D - i + 1, k))
+                for i in range(d + 1)
+            ],
+        )
+
+
+_TABLES: dict[int, FactorTables] = {}
 
 
 @dataclass(frozen=True)
@@ -53,22 +179,26 @@ class QuadricGeometry:
     def is_even(self) -> bool:
         return self.D % 2 == 0
 
+    @cached_property
+    def tables(self) -> FactorTables:
+        """The factor tables of dimension D, shared by every geometry of that dimension."""
+        return _TABLES.get(self.D) or _TABLES.setdefault(self.D, FactorTables(self.D))
+
+    def __getstate__(self) -> dict:
+        return {"D": self.D}  # the tables are looked up again on first use
+
     def factor_dimension(self, f: BasisFactor) -> int:
-        return self.D - f.index if f.kind == "h" else f.index
+        return self.tables.dims[f]
 
     def check_factor(self, f: BasisFactor) -> None:
-        if f.kind not in ("h", "l"):
-            raise ValueError(f"unknown factor kind {f.kind!r}")
-        if not 0 <= f.index <= self.d:
+        if f not in self.tables.valid:
             raise GeometryError(
                 f"factor index {f.index} out of range [0, {self.d}] for D={self.D}"
             )
 
     def factors(self) -> list[BasisFactor]:
         """All arity-1 basis factors in canonical order (h's first, index ascending)."""
-        return [BasisFactor("h", i) for i in range(self.d + 1)] + [
-            BasisFactor("l", i) for i in range(self.d + 1)
-        ]
+        return self.tables.h + self.tables.l
 
 
 Term = tuple[BasisFactor, ...]
@@ -93,7 +223,7 @@ class BasisElement:
 
     @property
     def dimension(self) -> int:
-        return sum(self.geometry.factor_dimension(f) for f in self.factors)
+        return term_dimension(self.geometry, self.factors)
 
     @property
     def codimension(self) -> int:
@@ -101,15 +231,15 @@ class BasisElement:
 
     @property
     def is_essential(self) -> bool:
-        return any(f.kind == "l" for f in self.factors)
+        return term_is_essential(self.factors)
 
 
 def term_dimension(geometry: QuadricGeometry, term: Term) -> int:
-    return sum(geometry.factor_dimension(f) for f in term)
+    return sum(map(geometry.tables.dims.__getitem__, term))
 
 
 def term_is_essential(term: Term) -> bool:
-    return any(f.kind == "l" for f in term)
+    return any(f & 1 for f in term)
 
 
 @dataclass(frozen=True)
@@ -123,27 +253,38 @@ class Cycle:
     def __post_init__(self) -> None:
         if self.arity < 0:
             raise ArityError(f"arity must be non-negative, got {self.arity}")
-        for term in self.terms:
+        terms = self.terms
+        if not terms or (
+            set(map(len, terms)) <= {self.arity}
+            and self.geometry.tables.valid.issuperset(chain.from_iterable(terms))
+        ):
+            return
+        for term in terms:
             if len(term) != self.arity:
                 raise ArityError(
                     f"term of length {len(term)} in a cycle of arity {self.arity}"
                 )
             for f in term:
+                if not isinstance(f, BasisFactor):
+                    raise TypeError(f"{f!r} is not a basis factor")
                 self.geometry.check_factor(f)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _dims(self) -> set[int]:
+        dim = self.geometry.tables.dims.__getitem__
+        return {sum(map(dim, t)) for t in self.terms}
+
     @property
     def is_homogeneous(self) -> bool:
-        dims = {term_dimension(self.geometry, t) for t in self.terms}
-        return len(dims) <= 1
+        return len(self._dims()) <= 1
 
     @property
     def dimension(self) -> int:
         """Common dimension of all terms; fails on non-homogeneous or zero cycles."""
-        dims = {term_dimension(self.geometry, t) for t in self.terms}
+        dims = self._dims()
         if len(dims) != 1:
             raise ValueError("dimension is defined only for homogeneous non-zero cycles")
         return dims.pop()
@@ -163,15 +304,18 @@ class Cycle:
         return term in self.terms
 
     def sorted_terms(self) -> list[Term]:
-        return sorted(self.terms)
+        """Terms in factor order; the key is the same order on plain ints, compared in C."""
+        order = self.geometry.tables.order.__getitem__
+        return sorted(self.terms, key=lambda t: tuple(map(order, t)))
 
 
 def cycle(geometry: QuadricGeometry, arity: int, terms: Iterable[Term] = ()) -> Cycle:
     """Build a cycle from an iterable of factor tuples with GF(2) cancellation."""
-    acc: set[Term] = set()
-    for term in terms:
-        acc.symmetric_difference_update((term,))
-    return Cycle(geometry, arity, frozenset(acc))
+    terms = list(terms)
+    once = frozenset(terms)
+    if len(once) != len(terms):
+        once = frozenset(t for t, n in Counter(terms).items() if n & 1)
+    return Cycle(geometry, arity, once)
 
 
 def zero(geometry: QuadricGeometry, arity: int) -> Cycle:
@@ -200,7 +344,7 @@ def enumerate_basis(
     if dim is not None and not 0 <= dim <= r * geometry.D:
         raise ValueError(f"dimension {dim} out of range [0, {r * geometry.D}]")
     out = []
-    for term in itertools.product(geometry.factors(), repeat=r):
+    for term in product(geometry.factors(), repeat=r):
         if dim is not None and term_dimension(geometry, term) != dim:
             continue
         out.append(BasisElement(geometry, term))

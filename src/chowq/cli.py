@@ -142,26 +142,16 @@ def _cmd_derive(args) -> int:
 
 def _pyramid_cells(geometry: QuadricGeometry, codim: int) -> list[tuple[BasisFactor, BasisFactor]]:
     """Arity-2 basis elements of the given codimension, left-factor codim ascending."""
-    d = geometry.d
     D = geometry.D
-
-    def choices(c: int) -> list[BasisFactor]:
-        out = []
-        if c <= d:
-            out.append(BasisFactor("h", c))
-        if D - c <= d:
-            out.append(BasisFactor("l", D - c))
-        return out
-
-    cells = []
-    for c1 in range(codim + 1):
-        c2 = codim - c1
-        if c2 > D:
-            continue
-        for f1 in choices(c1):
-            for f2 in choices(c2):
-                cells.append((f1, f2))
-    return cells
+    by_codim: dict[int, list[BasisFactor]] = {}
+    for f in geometry.factors():
+        by_codim.setdefault(D - geometry.factor_dimension(f), []).append(f)
+    return [
+        (f1, f2)
+        for c1 in range(codim + 1)
+        for f1 in by_codim.get(c1, ())
+        for f2 in by_codim.get(codim - c1, ())
+    ]
 
 
 def render_diagram(
@@ -185,14 +175,7 @@ def render_diagram(
         cells = _pyramid_cells(geometry, i)
         forbidden = set()
         if splitting is not None:
-            k = D - i + 1
-            if 1 <= k:
-                try:
-                    forbidden = {
-                        t for t in forbidden_cells(geometry, splitting, k)
-                    }
-                except ValueError:
-                    forbidden = set()
+            forbidden = forbidden_cells(geometry, splitting, D - i + 1)
         row = []
         for cell in cells:
             essential = any(f.kind == "l" for f in cell)

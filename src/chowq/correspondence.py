@@ -11,32 +11,15 @@ from __future__ import annotations
 
 from .basis import (
     ArityError,
-    BasisFactor,
     Cycle,
     GeometryError,
     QuadricGeometry,
     Term,
-    single,
+    cycle,
+    h,
+    l,
 )
-from .ring import external_product, h_power_term, mul, mul_factor_raw
-
-_L0 = BasisFactor("l", 0)
-
-
-def _partners(geometry: QuadricGeometry, f: BasisFactor) -> list[BasisFactor]:
-    """All factors g with f * g = l_0."""
-    out = []
-    if f.kind == "h":
-        out.append(BasisFactor("l", f.index))
-    else:
-        if f.index == 0:
-            out.append(BasisFactor("h", 0))
-        elif f.index <= geometry.d:
-            out.append(BasisFactor("h", f.index))
-    d = geometry.d
-    if f.kind == "l" and f.index == d and ((geometry.D + 1) * (d + 1)) % 2 == 1:
-        out.append(BasisFactor("l", d))
-    return out
+from .ring import _NONZERO, h_power_term, mul
 
 
 def compose(alpha: Cycle, alpha2: Cycle) -> Cycle:
@@ -48,34 +31,27 @@ def compose(alpha: Cycle, alpha2: Cycle) -> Cycle:
     if alpha.arity == 1 and alpha2.arity == 1:
         raise ArityError("composition of two arity-1 cycles is not supported")
     geometry = alpha.geometry
-    by_first: dict[BasisFactor, list[Term]] = {}
+    partners = geometry.tables.partners
+    by_first: dict[int, list[Term]] = {}
     for t in alpha2.terms:
         by_first.setdefault(t[0], []).append(t[1:])
-    acc: set[Term] = set()
-    for s in alpha.terms:
-        head, last = s[:-1], s[-1]
-        for g in _partners(geometry, last):
-            for tail in by_first.get(g, ()):
-                acc.symmetric_difference_update((head + tail,))
-    return Cycle(geometry, alpha.arity + alpha2.arity - 2, frozenset(acc))
+    terms = [s[:-1] + t for s in alpha.terms for g in partners[s[-1]] for t in by_first.get(g, ())]
+    return cycle(geometry, alpha.arity + alpha2.arity - 2, terms)
 
 
 def diagonal_class(geometry: QuadricGeometry) -> Cycle:
     """The class of the diagonal in the square, reduced mod 2."""
-    d = geometry.d
-    terms: list[Term] = []
-    for i in range(d + 1):
-        terms.append((BasisFactor("h", i), BasisFactor("l", i)))
-        terms.append((BasisFactor("l", i), BasisFactor("h", i)))
-    if ((geometry.D + 1) * (d + 1)) % 2 == 1:
-        terms.append((BasisFactor("h", d), BasisFactor("h", d)))
+    tables = geometry.tables
+    terms = [(tables.h[i], tables.l[i]) for i in range(geometry.d + 1)]
+    terms += [(b, a) for a, b in terms]
+    if tables.middle_square:
+        terms.append((tables.h[-1], tables.h[-1]))
     return Cycle(geometry, 2, frozenset(terms))
 
 
 def pullback_projection(alpha: Cycle) -> Cycle:
     """Pull back along the projection forgetting the first factor: prepend h^0."""
-    h0 = BasisFactor("h", 0)
-    acc = frozenset((h0,) + t for t in alpha.terms)
+    acc = frozenset((h(0),) + t for t in alpha.terms)
     return Cycle(alpha.geometry, alpha.arity + 1, acc)
 
 
@@ -83,7 +59,8 @@ def pushforward_projection(alpha: Cycle) -> Cycle:
     """Push forward along the first projection: l_0 x rest -> rest, else 0."""
     if alpha.arity < 2:
         raise ArityError("projection push-forward needs arity of at least 2")
-    acc = frozenset(t[1:] for t in alpha.terms if t[0] == _L0)
+    l0 = l(0)
+    acc = frozenset(t[1:] for t in alpha.terms if t[0] == l0)
     return Cycle(alpha.geometry, alpha.arity - 1, acc)
 
 
@@ -91,12 +68,9 @@ def pullback_diagonal(alpha: Cycle) -> Cycle:
     """Pull back along the diagonal of the first two factors: multiply them."""
     if alpha.arity < 2:
         raise ArityError("diagonal pull-back needs arity of at least 2")
-    acc: set[Term] = set()
-    for t in alpha.terms:
-        p = mul_factor_raw(alpha.geometry, t[0], t[1])
-        if p is not None:
-            acc.symmetric_difference_update(((p,) + t[2:],))
-    return Cycle(alpha.geometry, alpha.arity - 1, frozenset(acc))
+    prod = alpha.geometry.tables.prod
+    terms = [(p,) + t[2:] for t in alpha.terms if (p := prod[t[0]][t[1]]) is not None]
+    return cycle(alpha.geometry, alpha.arity - 1, terms)
 
 
 def pushforward_diagonal(alpha: Cycle) -> Cycle:
@@ -104,14 +78,13 @@ def pushforward_diagonal(alpha: Cycle) -> Cycle:
     if alpha.arity < 1:
         raise ArityError("diagonal push-forward needs arity of at least 1")
     geometry = alpha.geometry
-    delta = diagonal_class(geometry)
-    h0 = single(geometry, BasisFactor("h", 0))
-    acc: set[Term] = set()
-    for t in alpha.terms:
-        doubled = mul(external_product(single(geometry, t[0]), h0), delta)
-        for pair in doubled.terms:
-            acc.symmetric_difference_update((pair + t[1:],))
-    return Cycle(geometry, alpha.arity + 1, frozenset(acc))
+    delta = diagonal_class(geometry).terms
+    prod = geometry.tables.prod
+    # (t[0] x h^0) * delta, extended by the rest of t
+    terms = [
+        (p, b) + t[1:] for t in alpha.terms for a, b in delta if (p := prod[t[0]][a]) is not None
+    ]
+    return cycle(geometry, alpha.arity + 1, terms)
 
 
 def derivative(alpha: Cycle, i: int, j: int) -> Cycle:
@@ -135,13 +108,9 @@ def delta_pullback_q(alpha: Cycle) -> Cycle:
     """Pull back along x1 x x2 -> x1 x x2 x x1 x x2: terms map to (b1 b3) x (b2 b4)."""
     if alpha.arity != 4:
         raise ArityError("this pull-back is defined for arity-4 cycles")
-    acc: set[Term] = set()
-    for t in alpha.terms:
-        p = mul_factor_raw(alpha.geometry, t[0], t[2])
-        q = mul_factor_raw(alpha.geometry, t[1], t[3])
-        if p is not None and q is not None:
-            acc.symmetric_difference_update(((p, q),))
-    return Cycle(alpha.geometry, 2, frozenset(acc))
+    prod = alpha.geometry.tables.prod
+    pairs = [(prod[t[0]][t[2]], prod[t[1]][t[3]]) for t in alpha.terms]
+    return cycle(alpha.geometry, 2, filter(_NONZERO, pairs))
 
 
 __all__ = [

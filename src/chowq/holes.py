@@ -21,17 +21,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .basis import (
-    BasisFactor,
     Cycle,
     QuadricGeometry,
     Term,
+    h,
+    l,
     render_cycle,
     single,
 )
 from .correspondence import compose, delta_pullback_q
 from .ring import external_product, mul, sym, transpose
 from .steenrod import steenrod_k
-from .structure import SplittingData
+from .structure import SplittingData, _is_power_of_two
 
 BRUTE_THRESHOLD = 1 << 20
 
@@ -49,10 +50,15 @@ class HoleParams:
             raise ValueError(
                 f"need n >= 4, 3 <= m <= n-1, 1 <= p <= m-2; got {(self.n, self.m, self.p)}"
             )
-        assert (self.d - self.a + 1) % self.b == 0
-        assert (self.d - self.b - self.a + 1) % self.c == 0
-        assert self.b % (4 * self.a) == 0
-        assert (self.d + 1) % self.b == self.a % self.b
+        derived = {
+            "b divides d - a + 1": (self.d - self.a + 1) % self.b == 0,
+            "c divides d - b - a + 1": (self.d - self.b - self.a + 1) % self.c == 0,
+            "4a divides b": self.b % (4 * self.a) == 0,
+            "d + 1 = a mod b": (self.d + 1) % self.b == self.a % self.b,
+        }
+        broken = [name for name, holds in derived.items() if not holds]
+        if broken:
+            raise ValueError(f"derived constants violate {', '.join(broken)}")
 
     @property
     def a(self) -> int:
@@ -111,24 +117,17 @@ def forced_witt_sequence(n: int, dim: int) -> SplittingData:
     return SplittingData(indices, dim_form=dim)
 
 
-def _h(i: int) -> BasisFactor:
-    return BasisFactor("h", i)
-
-
-def _l(i: int) -> BasisFactor:
-    return BasisFactor("l", i)
-
-
 def build_mu_zero(params: HoleParams) -> Cycle:
     """Symmetrized staircase part of the triple-power construction cycle."""
     g = params.geometry
     a, b = params.a, params.b
     terms = [
-        (_h(0), _h((i - 1) * b + a), _l(i * b + a - 1))
+        (h(0), h((i - 1) * b + a), l(i * b + a - 1))
         for i in range(1, params.n_b + 1)
     ]
     mu0 = sym(Cycle(g, 3, frozenset(terms)))
-    assert mu0.is_homogeneous
+    if not mu0.is_homogeneous:
+        raise RuntimeError("the staircase cycle mu0 is not homogeneous")
     return mu0
 
 
@@ -143,13 +142,13 @@ def build_chi(params: HoleParams, j: int) -> Cycle:
             g,
             2,
             frozenset(
-                (_h((i - 1) * c + b + a), _l(i * c + b + a - 1))
+                (h((i - 1) * c + b + a), l(i * c + b + a - 1))
                 for i in range(1, params.n_c + 1)
             ),
         )
     )
-    shifted = mul(inner, single(g, _h((j - 1) * a), _h(c - b - j * a)))
-    return external_product(single(g, _h(a)), shifted)
+    shifted = mul(inner, single(g, h((j - 1) * a), h(c - b - j * a)))
+    return external_product(single(g, h(a)), shifted)
 
 
 def mu_prime_generators(params: HoleParams) -> list[Cycle]:
@@ -164,7 +163,7 @@ def mu_prime_generators(params: HoleParams) -> list[Cycle]:
 
 
 def _weight(params: HoleParams) -> Cycle:
-    return single(params.geometry, _h(0), _h(0), _h(params.b - 1))
+    return single(params.geometry, h(0), h(0), h(params.b - 1))
 
 
 def build_xi(mu: Cycle, params: HoleParams) -> Cycle:
@@ -175,13 +174,15 @@ def build_xi(mu: Cycle, params: HoleParams) -> Cycle:
     composite = compose(inner, mu)
     xi = delta_pullback_q(composite)
     if not xi.is_zero:
-        assert xi.is_homogeneous
-        assert xi.dimension == 2 * params.d + params.b - 2 * params.a - 1
+        if not xi.is_homogeneous:
+            raise ValueError("xi is not homogeneous; mu must be homogeneous")
+        if xi.dimension != 2 * params.d + params.b - 2 * params.a - 1:
+            raise ValueError(f"xi has dimension {xi.dimension}, not that of the target cell")
     return xi
 
 
 def target_cell(params: HoleParams) -> Term:
-    return (_h(params.a), _l(params.b - params.a - 1))
+    return (h(params.a), l(params.b - params.a - 1))
 
 
 def first_summand_formula(params: HoleParams) -> Cycle:
@@ -190,8 +191,8 @@ def first_summand_formula(params: HoleParams) -> Cycle:
     a, b = params.a, params.b
     terms = []
     for i in range(1, params.n_b + 1):
-        terms.append((_h((i - 1) * b + a), _l(i * b - a - 1)))
-        terms.append((_h((i - 1) * b + 3 * a), _l(i * b + a - 1)))
+        terms.append((h((i - 1) * b + a), l(i * b - a - 1)))
+        terms.append((h((i - 1) * b + 3 * a), l(i * b + a - 1)))
     return sym(Cycle(g, 2, frozenset(terms)))
 
 
@@ -199,43 +200,41 @@ def first_summand_formula(params: HoleParams) -> Cycle:
 # certification
 
 
-def _xi_from_parts(
-    mu0_terms: frozenset[Term],
-    s_parts: list[frozenset[Term]],
-    gen_terms: list[frozenset[Term]],
-    selection: int,
-    params: HoleParams,
-) -> Cycle:
-    """Assemble mu and its Steenrod image for one defect selection, then build xi."""
-    g = params.geometry
-    mu_terms = set(mu0_terms)
-    s_terms = set(s_parts[0])
-    for k in range(len(gen_terms)):
-        if selection >> k & 1:
-            mu_terms ^= gen_terms[k]
-            s_terms ^= s_parts[k + 1]
-    mu = Cycle(g, 3, frozenset(mu_terms))
-    inner = mul(Cycle(g, 3, frozenset(s_terms)), _weight(params))
-    return delta_pullback_q(compose(inner, mu))
+def _inner_parts(params: HoleParams, parts: list[Cycle]) -> list[Cycle]:
+    """S_2a(x) * weight for each part x.
 
-
-def _tables(params: HoleParams):
-    mu0 = build_mu_zero(params)
-    gens = mu_prime_generators(params)
+    Both maps are linear over GF(2), so for mu a sum of parts the inner
+    factor of xi is the sum of the matching inner parts.
+    """
     k = 2 * params.a
-    s_parts = [steenrod_k(mu0, k).terms] + [steenrod_k(g, k).terms for g in gens]
-    return mu0.terms, s_parts, [g.terms for g in gens]
+    weight = _weight(params)
+    return [mul(steenrod_k(x, k), weight) for x in parts]
+
+
+def _xi_from_parts(
+    parts: list[Cycle], inners: list[Cycle], selection: int, params: HoleParams
+) -> Cycle:
+    """xi for mu = parts[0] + the parts[k + 1] whose bit k is set in selection."""
+    g = params.geometry
+    mu_terms = set(parts[0].terms)
+    inner_terms = set(inners[0].terms)
+    for k in range(1, len(parts)):
+        if selection >> (k - 1) & 1:
+            mu_terms ^= parts[k].terms
+            inner_terms ^= inners[k].terms
+    mu = Cycle(g, 3, frozenset(mu_terms))
+    return delta_pullback_q(compose(Cycle(g, 3, frozenset(inner_terms)), mu))
 
 
 def _brute_range(args) -> tuple[int, list[int]]:
     n, m, p, lo, hi = args
     params = HoleParams(n, m, p)
-    mu0_terms, s_parts, gen_terms = _tables(params)
+    parts = [build_mu_zero(params)] + mu_prime_generators(params)
+    inners = _inner_parts(params, parts)
     target = target_cell(params)
     failures = []
     for case in range(lo, hi):
-        xi = _xi_from_parts(mu0_terms, s_parts, gen_terms, case, params)
-        if target not in xi.terms:
+        if target not in _xi_from_parts(parts, inners, case, params).terms:
             failures.append(case)
     return hi - lo, failures
 
@@ -295,12 +294,9 @@ def verify_contradiction(
         cert["passed"] = checked == n_cases and not failures
     else:
         parts = [mu0] + gens
-        k = 2 * params.a
-        s_parts = [steenrod_k(x, k) for x in parts]
         blocks = {}
         bad = []
-        for iy, sy in enumerate(s_parts):
-            inner = mul(sy, _weight(params))
+        for iy, inner in enumerate(_inner_parts(params, parts)):
             for ix, x in enumerate(parts):
                 xi_block = delta_pullback_q(compose(inner, x))
                 bit = 1 if target in xi_block.terms else 0
@@ -343,10 +339,6 @@ def vishik_pattern(n: int, m: int) -> set[int]:
     out = {(1 << (n + 1)) - (1 << i) for i in range(1, n + 2)}
     out.update(range(1 << (n + 1), m * (1 << n) + 1, 2))
     return out
-
-
-def _is_power_of_two(v: int) -> bool:
-    return v > 0 and v & (v - 1) == 0
 
 
 def gap_certificate(pattern: set[int]) -> tuple[bool, list[tuple[int, int, int]]]:

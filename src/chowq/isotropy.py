@@ -22,6 +22,8 @@ from .basis import (
     GeometryError,
     QuadricGeometry,
     Term,
+    cycle,
+    h,
 )
 
 
@@ -68,31 +70,22 @@ def all_signatures(geometry: QuadricGeometry, a: int, r: int) -> list[IsotropySi
     ]
 
 
-def _pr_factor(f: BasisFactor, a: int) -> BasisFactor | None:
-    i = f.index - a
-    return BasisFactor(f.kind, i) if i >= 0 else None
-
-
 def pr_single(alpha: Cycle, a: int) -> Cycle:
     """Index shift down by a on an arity-1 cycle; negatives vanish."""
-    if alpha.arity != 1:
-        raise ArityError("pr_single acts on arity-1 cycles")
-    inner = QuadricGeometry(alpha.geometry.D - 2 * a)
-    acc: set[Term] = set()
-    for (f,) in alpha.terms:
-        g = _pr_factor(f, a)
-        if g is not None:
-            acc.add((g,))
-    return Cycle(inner, 1, frozenset(acc))
+    return pr_multi(alpha, IsotropySignature(a, alpha.geometry.D, (a,)))
 
 
 def in_single(alpha: Cycle, a: int) -> Cycle:
     """Index shift up by a, from the inner geometry back to the big one."""
-    if alpha.arity != 1:
-        raise ArityError("in_single acts on arity-1 cycles")
-    outer = QuadricGeometry(alpha.geometry.D + 2 * a)
-    acc = frozenset((BasisFactor(f.kind, f.index + a),) for (f,) in alpha.terms)
-    return Cycle(outer, 1, acc)
+    return in_multi(alpha, IsotropySignature(a, alpha.geometry.D + 2 * a, (a,)))
+
+
+def _slots(sig: IsotropySignature, tables) -> list[BasisFactor | None]:
+    """Per position: None where the core is projected, else the factor the signature fixes."""
+    return [
+        None if i == sig.a else tables.l[i] if i < sig.a else tables.h[sig.D - i]
+        for i in sig.indices
+    ]
 
 
 def pr_multi(alpha: Cycle, sig: IsotropySignature) -> Cycle:
@@ -102,28 +95,17 @@ def pr_multi(alpha: Cycle, sig: IsotropySignature) -> Cycle:
     if alpha.arity != sig.arity:
         raise ArityError(f"signature arity {sig.arity} != cycle arity {alpha.arity}")
     inner = sig.inner_geometry
-    acc: set[Term] = set()
+    down = [None] * (2 * sig.a) + inner.tables.factors  # code -> index shifted down by a
+    slots = _slots(sig, alpha.geometry.tables)
+    shifted = [j for j, f in enumerate(slots) if f is None]
+    fixed = [(j, f) for j, f in enumerate(slots) if f is not None]
+    images = []
     for term in alpha.terms:
-        out: list[BasisFactor] = []
-        dead = False
-        for f, i in zip(term, sig.indices):
-            if i == sig.a:
-                g = _pr_factor(f, sig.a)
-                if g is None:
-                    dead = True
-                    break
-                out.append(g)
-            elif i < sig.a:
-                if f != BasisFactor("l", i):
-                    dead = True
-                    break
-            else:
-                if f != BasisFactor("h", sig.D - i):
-                    dead = True
-                    break
-        if not dead:
-            acc.symmetric_difference_update((tuple(out),))
-    return Cycle(inner, sig.s, frozenset(acc))
+        if all(term[j] == f for j, f in fixed):
+            out = tuple(down[term[j]] for j in shifted)
+            if None not in out:
+                images.append(out)
+    return cycle(inner, sig.s, images)
 
 
 def in_multi(beta: Cycle, sig: IsotropySignature) -> Cycle:
@@ -133,20 +115,12 @@ def in_multi(beta: Cycle, sig: IsotropySignature) -> Cycle:
     if beta.arity != sig.s:
         raise ArityError(f"signature expects inner arity {sig.s}, got {beta.arity}")
     outer = QuadricGeometry(sig.D)
+    up = outer.tables.factors[2 * sig.a :]
+    slots = _slots(sig, outer.tables)
     acc: set[Term] = set()
     for term in beta.terms:
-        out: list[BasisFactor] = []
-        k = 0
-        for i in sig.indices:
-            if i == sig.a:
-                f = term[k]
-                out.append(BasisFactor(f.kind, f.index + sig.a))
-                k += 1
-            elif i < sig.a:
-                out.append(BasisFactor("l", i))
-            else:
-                out.append(BasisFactor("h", sig.D - i))
-        acc.add(tuple(out))
+        inner = iter(term)
+        acc.add(tuple(up[next(inner)] if f is None else f for f in slots))
     return Cycle(outer, sig.arity, frozenset(acc))
 
 
@@ -154,7 +128,7 @@ def generic_point_pullback(alpha: Cycle) -> Cycle:
     """Keep terms led by h^0 and strip that factor; kill everything else."""
     if alpha.arity < 2:
         raise ArityError("generic point pull-back needs arity of at least 2")
-    h0 = BasisFactor("h", 0)
+    h0 = h(0)
     acc = frozenset(t[1:] for t in alpha.terms if t[0] == h0)
     return Cycle(alpha.geometry, alpha.arity - 1, acc)
 

@@ -1,10 +1,7 @@
 """Graded ring structure on cycles: products, permutations, homogeneous parts.
 
-The arity-1 product is generated by h^(d+1) = 0, h * l_i = l_(i-1) with
-l_(-1) = 0, and l_d * l_d = (D+1)(d+1) * l_0 mod 2.  All other l_i * l_j
-vanish: writing l_j = h^(d-j) * l_d and applying the generating rules
-forces l_i * l_j = h^(d-i) h^(d-j) l_d^2 = 0 for (i, j) != (d, d).
-Higher arities multiply factorwise.
+Factor products come from the product table of the geometry (see
+FactorTables for the rules); higher arities multiply factorwise.
 """
 
 from __future__ import annotations
@@ -20,29 +17,19 @@ from .basis import (
     QuadricGeometry,
     Term,
     cycle,
-    term_dimension,
+    h,
     term_is_essential,
 )
+
+
+_NONZERO = frozenset({None}).isdisjoint
 
 
 def mul_factor_raw(
     geometry: QuadricGeometry, a: BasisFactor, b: BasisFactor
 ) -> BasisFactor | None:
     """Product of two arity-1 basis factors; None encodes zero."""
-    d = geometry.d
-    if a.kind == "h" and b.kind == "h":
-        s = a.index + b.index
-        return BasisFactor("h", s) if s <= d else None
-    if a.kind == "h":
-        a, b = b, a
-    if b.kind == "h":
-        # a is l_i, b is h^j
-        s = a.index - b.index
-        return BasisFactor("l", s) if s >= 0 else None
-    # both l factors: only l_d * l_d may survive, with coefficient (D+1)(d+1)
-    if a.index == d and b.index == d and ((geometry.D + 1) * (d + 1)) % 2 == 1:
-        return BasisFactor("l", 0)
-    return None
+    return geometry.tables.prod[a][b]
 
 
 def mul_factor(geometry: QuadricGeometry, a: BasisFactor, b: BasisFactor) -> Cycle:
@@ -54,13 +41,9 @@ def mul_factor(geometry: QuadricGeometry, a: BasisFactor, b: BasisFactor) -> Cyc
 
 def mul_term(geometry: QuadricGeometry, s: Term, t: Term) -> Term | None:
     """Factorwise product of two terms of equal arity; None encodes zero."""
-    out = []
-    for a, b in zip(s, t):
-        r = mul_factor_raw(geometry, a, b)
-        if r is None:
-            return None
-        out.append(r)
-    return tuple(out)
+    prod = geometry.tables.prod
+    p = tuple(prod[a][b] for a, b in zip(s, t))
+    return None if None in p else p
 
 
 def _check_same(alpha: Cycle, beta: Cycle) -> None:
@@ -73,24 +56,26 @@ def _check_same(alpha: Cycle, beta: Cycle) -> None:
 def mul(alpha: Cycle, beta: Cycle) -> Cycle:
     """Bilinear factorwise product of two cycles of equal geometry and arity."""
     _check_same(alpha, beta)
-    acc: set[Term] = set()
-    for s in alpha.terms:
-        for t in beta.terms:
-            p = mul_term(alpha.geometry, s, t)
-            if p is not None:
-                acc.symmetric_difference_update((p,))
-    return Cycle(alpha.geometry, alpha.arity, frozenset(acc))
+    if alpha.arity == 0:  # scalars; zip over no columns below would drop () * ()
+        return Cycle(alpha.geometry, 0, alpha.terms & beta.terms)
+    times = alpha.geometry.tables.times.__getitem__
+    small, big = alpha.terms, beta.terms
+    if len(small) > len(big):
+        small, big = big, small
+    columns = list(zip(*big))
+    products: list[Term] = []
+    for s in small:
+        # factor i of s times column i of big, in C; a None factor zeroes the product
+        products += filter(_NONZERO, zip(*map(map, map(times, s), columns)))
+    return cycle(alpha.geometry, alpha.arity, products)
 
 
 def external_product(alpha: Cycle, beta: Cycle) -> Cycle:
     """Concatenation of factor tuples, bilinear over terms."""
     if alpha.geometry != beta.geometry:
         raise GeometryError("cycles live over different geometries")
-    acc: set[Term] = set()
-    for s in alpha.terms:
-        for t in beta.terms:
-            acc.symmetric_difference_update((s + t,))
-    return Cycle(alpha.geometry, alpha.arity + beta.arity, frozenset(acc))
+    terms = [s + t for s in alpha.terms for t in beta.terms]
+    return cycle(alpha.geometry, alpha.arity + beta.arity, terms)
 
 
 def permute(alpha: Cycle, sigma: Sequence[int]) -> Cycle:
@@ -114,26 +99,24 @@ def transpose(alpha: Cycle, i: int = 0, j: int = 1) -> Cycle:
 
 def sym(alpha: Cycle) -> Cycle:
     """GF(2) sum of all permutations of the factors."""
-    acc: set[Term] = set()
-    for sigma in itertools.permutations(range(alpha.arity)):
-        for term in alpha.terms:
-            acc.symmetric_difference_update((tuple(term[j] for j in sigma),))
-    return Cycle(alpha.geometry, alpha.arity, frozenset(acc))
+    sigmas = itertools.permutations(range(alpha.arity))
+    terms = [tuple(term[j] for j in sigma) for sigma in sigmas for term in alpha.terms]
+    return cycle(alpha.geometry, alpha.arity, terms)
 
 
 def homogeneous_component(alpha: Cycle, dim: int) -> Cycle:
     """Sub-sum of terms of the given total dimension."""
-    acc = frozenset(
-        t for t in alpha.terms if term_dimension(alpha.geometry, t) == dim
-    )
+    dim_of = alpha.geometry.tables.dims.__getitem__
+    acc = frozenset(t for t in alpha.terms if sum(map(dim_of, t)) == dim)
     return Cycle(alpha.geometry, alpha.arity, acc)
 
 
 def homogeneous_components(alpha: Cycle) -> dict[int, Cycle]:
     """All non-zero homogeneous components keyed by dimension."""
+    dim_of = alpha.geometry.tables.dims.__getitem__
     by_dim: dict[int, set[Term]] = {}
     for t in alpha.terms:
-        by_dim.setdefault(term_dimension(alpha.geometry, t), set()).add(t)
+        by_dim.setdefault(sum(map(dim_of, t)), set()).add(t)
     return {
         dim: Cycle(alpha.geometry, alpha.arity, frozenset(ts))
         for dim, ts in sorted(by_dim.items())
@@ -154,7 +137,7 @@ def intersection(alpha: Cycle, beta: Cycle) -> Cycle:
 
 def h_power_term(geometry: QuadricGeometry, *exponents: int) -> Term:
     """The non-essential term h^e1 x ... x h^er."""
-    return tuple(BasisFactor("h", e) for e in exponents)
+    return tuple(map(h, exponents))
 
 
 def unit(geometry: QuadricGeometry, arity: int) -> Cycle:

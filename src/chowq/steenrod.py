@@ -1,48 +1,29 @@
 """Total and graded Steenrod operations mod 2.
 
-On factors: S(h^i) = h^i (1+h)^i and S(l_i) = l_i (1+h)^(D-i+1), extended
-to tuples multiplicatively and to sums linearly.  Binomial parity is
-computed bitwise (Lucas): C(n, k) is odd iff k AND NOT n == 0.
+On factors the total operation is read from the Steenrod table of the
+geometry (see FactorTables for the rules); it extends to tuples
+multiplicatively and to sums linearly.  Binomial parity is computed
+bitwise (Lucas): C(n, k) is odd iff k AND NOT n == 0.
 """
 
 from __future__ import annotations
 
-from .basis import BasisFactor, Cycle, QuadricGeometry, Term
+from itertools import chain, product
+
+from .basis import BasisFactor, Cycle, QuadricGeometry, binom_mod2, cycle
 from .ring import homogeneous_component
-
-
-def binom_mod2(n: int, k: int) -> int:
-    """C(n, k) mod 2; zero when k > n or k < 0."""
-    if k < 0 or k > n:
-        return 0
-    return 1 if (k & ~n) == 0 else 0
 
 
 def steenrod_factor(geometry: QuadricGeometry, f: BasisFactor) -> list[BasisFactor]:
     """All factors appearing in the total Steenrod image of a single factor."""
-    out = []
-    if f.kind == "h":
-        for k in range(f.index + 1):
-            if f.index + k <= geometry.d and binom_mod2(f.index, k):
-                out.append(BasisFactor("h", f.index + k))
-    else:
-        n = geometry.D - f.index + 1
-        for k in range(f.index + 1):
-            if binom_mod2(n, k):
-                out.append(BasisFactor("l", f.index - k))
-    return out
+    return list(geometry.tables.steenrod[f])
 
 
 def steenrod_total(alpha: Cycle) -> Cycle:
     """Total Steenrod operation, a ring homomorphism commuting with external products."""
-    acc: set[Term] = set()
-    for term in alpha.terms:
-        images = [steenrod_factor(alpha.geometry, f) for f in term]
-        partial: list[Term] = [()]
-        for choices in images:
-            partial = [p + (f,) for p in partial for f in choices]
-        acc.symmetric_difference_update(partial)
-    return Cycle(alpha.geometry, alpha.arity, frozenset(acc))
+    images = alpha.geometry.tables.steenrod
+    terms = chain.from_iterable(product(*[images[f] for f in term]) for term in alpha.terms)
+    return cycle(alpha.geometry, alpha.arity, terms)
 
 
 def steenrod_k(alpha: Cycle, k: int) -> Cycle:
@@ -58,11 +39,11 @@ def steenrod_upto(alpha: Cycle, k_max: int) -> Cycle:
     """Sum of the graded operations of orders 0..k_max."""
     if alpha.is_zero:
         return alpha
-    total = steenrod_total(alpha)
-    out: set[Term] = set()
-    for k in range(k_max + 1):
-        out ^= homogeneous_component(total, alpha.dimension - k).terms
-    return Cycle(alpha.geometry, alpha.arity, frozenset(out))
+    low = alpha.dimension - k_max
+    dim_of = alpha.geometry.tables.dims.__getitem__
+    terms = steenrod_total(alpha).terms
+    kept = frozenset(t for t in terms if sum(map(dim_of, t)) >= low)
+    return Cycle(alpha.geometry, alpha.arity, kept)
 
 
 __all__ = ["binom_mod2", "steenrod_factor", "steenrod_k", "steenrod_total", "steenrod_upto"]

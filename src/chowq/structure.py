@@ -18,17 +18,20 @@ from typing import Iterable
 
 from .basis import (
     ArityError,
-    BasisFactor,
     Cycle,
     QuadricGeometry,
     Term,
     cycle,
     enumerate_basis,
+    h,
+    l,
+    single,
     term_dimension,
     term_is_essential,
 )
 from .correspondence import (
     derivative,
+    diagonal_class,
     pullback_diagonal,
     pullback_projection,
     pushforward_diagonal,
@@ -56,7 +59,7 @@ _COORD_CACHE: dict[tuple[int, int], tuple[list[Term], dict[Term, int]]] = {}
 def _coords(geometry: QuadricGeometry, r: int) -> tuple[list[Term], dict[Term, int]]:
     key = (geometry.D, r)
     if key not in _COORD_CACHE:
-        terms = [be.factors for be in enumerate_basis(geometry, r)]
+        terms = list(itertools.product(geometry.factors(), repeat=r))
         _COORD_CACHE[key] = (terms, {t: i for i, t in enumerate(terms)})
     return _COORD_CACHE[key]
 
@@ -173,22 +176,13 @@ def family_from_generators(
 # closure
 
 
-def _nonessential_seed(geometry: QuadricGeometry, r: int) -> list[Cycle]:
-    d = geometry.d
-    out = []
-    for exps in itertools.product(range(d + 1), repeat=r):
-        out.append(
-            Cycle(geometry, r, frozenset({tuple(BasisFactor("h", e) for e in exps)}))
-        )
-    return out
-
-
 def closure(family: RationalFamily) -> RationalFamily:
     """Smallest family containing the input and closed under the forced operations."""
     fam = family.copy()
     for r in range(1, fam.max_arity + 1):
-        for c in _nonessential_seed(fam.geometry, r):
-            fam.groups[r].add(encode_cycle(c))
+        _, index = _coords(fam.geometry, r)
+        for t in itertools.product(fam.geometry.tables.h, repeat=r):  # the non-essential seed
+            fam.groups[r].add(1 << index[t])
 
     def feed(c: Cycle) -> bool:
         if c.is_zero or not 1 <= c.arity <= fam.max_arity:
@@ -243,7 +237,7 @@ def check_springer(family: RationalFamily) -> CheckResult:
     for i in range(geometry.d + 1):
         if geometry.is_even and i == geometry.D // 2:
             continue  # middle class may be rational without forcing a point
-        li = Cycle(geometry, 1, frozenset({(BasisFactor("l", i),)}))
+        li = single(geometry, l(i))
         if family.contains(li):
             bad.append(i)
     return CheckResult("springer", not bad, tuple(bad))
@@ -254,16 +248,7 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def binary_cycle(geometry: QuadricGeometry, i: int) -> Cycle:
-    return Cycle(
-        geometry,
-        2,
-        frozenset(
-            {
-                (BasisFactor("h", 0), BasisFactor("l", i)),
-                (BasisFactor("l", i), BasisFactor("h", 0)),
-            }
-        ),
-    )
+    return Cycle(geometry, 2, frozenset({(h(0), l(i)), (l(i), h(0))}))
 
 
 def check_binary_size(family: RationalFamily) -> CheckResult:
@@ -282,7 +267,7 @@ def witt_index_readoff(family: RationalFamily) -> int:
     geometry = family.geometry
     best = -1
     for i in range(geometry.d + 1):
-        li = Cycle(geometry, 1, frozenset({(BasisFactor("l", i),)}))
+        li = single(geometry, l(i))
         if family.contains(li):
             best = i
     return best + 1
@@ -301,10 +286,10 @@ def splitting_readoff(family: RationalFamily) -> SplittingData:
                 f"insufficient data: need arity {r} to read off step {len(js) + 1}"
             )
         support = family.support_terms(r)
-        prefix = (BasisFactor("h", 0),) + tuple(BasisFactor("h", j) for j in js)
+        prefix = (h(0),) + tuple(h(j) for j in js)
         best = None
         for j in range(1, d + 2):
-            if prefix + (BasisFactor("l", j - 1),) in support:
+            if prefix + (l(j - 1),) in support:
                 best = j
         if best is None:
             raise FamilyError(f"insufficient data: no step found at arity {r}")
@@ -317,23 +302,20 @@ def splitting_readoff(family: RationalFamily) -> SplittingData:
 # minimal and primordial cycles
 
 
-def _essential_upper_mask(geometry: QuadricGeometry) -> int:
-    """Coordinate mask of essential arity-2 elements of codimension at most D."""
+def _essential_masks(geometry: QuadricGeometry) -> dict[int, int]:
+    """Coordinate masks of the essential arity-2 basis elements, by dimension."""
     terms, _ = _coords(geometry, 2)
-    mask = 0
+    masks: dict[int, int] = {}
     for i, t in enumerate(terms):
-        if term_is_essential(t) and term_dimension(geometry, t) >= geometry.D:
-            mask |= 1 << i
-    return mask
+        if term_is_essential(t):
+            dim = term_dimension(geometry, t)
+            masks[dim] = masks.get(dim, 0) | 1 << i
+    return masks
 
 
 def diagonal_essential_sum(geometry: QuadricGeometry) -> Cycle:
     """The dimension-D identity: sum of all h^i x l_i and l_i x h^i."""
-    terms = []
-    for i in range(geometry.d + 1):
-        terms.append((BasisFactor("h", i), BasisFactor("l", i)))
-        terms.append((BasisFactor("l", i), BasisFactor("h", i)))
-    return Cycle(geometry, 2, frozenset(terms))
+    return essential_part(diagonal_class(geometry))
 
 
 def minimal_cycles(family: RationalFamily, cap: int = 1 << 20) -> list[Cycle]:
@@ -346,10 +328,10 @@ def minimal_cycles(family: RationalFamily, cap: int = 1 << 20) -> list[Cycle]:
     if family.max_arity < 2:
         raise FamilyError("minimal cycles need an arity-2 group")
     geometry = family.geometry
-    mask = _essential_upper_mask(geometry)
+    mask = sum(m for dim, m in _essential_masks(geometry).items() if dim >= geometry.D)
     ess = Gf2Subspace(v & mask for v in family.groups[2].rows())
     middle = geometry.d
-    ld_ld = (BasisFactor("l", middle), BasisFactor("l", middle))
+    ld_ld = (l(middle), l(middle))
     _, index = _coords(geometry, 2)
     if ess.support() >> index[ld_ld] & 1:
         raise FamilyError("family contains l_d x l_d in a rational cycle")
@@ -360,21 +342,20 @@ def minimal_cycles(family: RationalFamily, cap: int = 1 << 20) -> list[Cycle]:
     atoms: dict[int, int] = {}
     support = ess.support()
     bit = 1
-    pos = 0
     while bit <= support:
         if support & bit:
             meet = None
             for v in elements:
                 if v & bit:
                     meet = v if meet is None else meet & v
-            assert meet is not None
+            if meet is None:
+                raise RuntimeError(f"no member meets coordinate {bit.bit_length() - 1}")
             if meet not in ess:
                 raise FamilyError(
                     "intersection closure violated; the family is inconsistent"
                 )
             atoms[meet] = meet
         bit <<= 1
-        pos += 1
     out = [decode_cycle(geometry, 2, v) for v in atoms]
     for a, b in itertools.combinations(atoms, 2):
         if a & b:
@@ -432,11 +413,11 @@ def primordial_cycles(
             i
             for i in range(js[q - 1], js[q])
             if alpha is None
-            or (BasisFactor("h", i), BasisFactor("l", i)) not in alpha.terms
+            or (h(i), l(i)) not in alpha.terms
         ]
         if not missing:
             continue
-        top = (BasisFactor("h", js[q - 1]), BasisFactor("l", js[q] - 1))
+        top = (h(js[q - 1]), l(js[q] - 1))
         candidates = [m for m in minimals if top in m.terms]
         if not candidates:
             raise FamilyError(
@@ -475,8 +456,8 @@ def forbidden_cells(
             x = js[q - 1] + i
             y = js[q - 1] + i + k - 1
             if x <= geometry.d and y <= geometry.d:
-                out.add((BasisFactor("h", x), BasisFactor("l", y)))
-                out.add((BasisFactor("l", y), BasisFactor("h", x)))
+                out.add((h(x), l(y)))
+                out.add((l(y), h(x)))
     return out
 
 
@@ -504,8 +485,8 @@ def check_pairs(alpha: Cycle, splitting: SplittingData) -> CheckResult:
                 y = js[q - 1] + js[q] - 1 - x
                 if x + k > geometry.d or y > geometry.d:
                     continue
-                left = (BasisFactor("h", x), BasisFactor("l", x + k))
-                right = (BasisFactor("l", y), BasisFactor("h", y - k))
+                left = (h(x), l(x + k))
+                right = (l(y), h(y - k))
                 if (left in piece.terms) != (right in piece.terms):
                     bad.append((left, right))
     return CheckResult("pairs", not bad, tuple(bad))
@@ -547,7 +528,7 @@ def known_generator(geometry: QuadricGeometry, a: int) -> Cycle:
     if (d + 1) % a != 0:
         raise ValueError(f"{a} does not divide d+1 = {d + 1}")
     terms = [
-        (BasisFactor("h", (i - 1) * a), BasisFactor("l", i * a - 1))
+        (h((i - 1) * a), l(i * a - 1))
         for i in range(1, (d + 1) // a + 1)
     ]
     return sym(Cycle(geometry, 2, frozenset(terms)))
@@ -565,12 +546,9 @@ def check_known(family: RationalFamily, splitting: SplittingData) -> CheckResult
     pi = known_generator(geometry, a)
     if not family.contains(pi):
         problems.append("staircase-not-rational")
-    terms, _ = _coords(geometry, 2)
+    masks = _essential_masks(geometry)
     for k in range(0, geometry.D + 1):
-        mask = 0
-        for i, t in enumerate(terms):
-            if term_is_essential(t) and term_dimension(geometry, t) == geometry.D + k:
-                mask |= 1 << i
+        mask = masks.get(geometry.D + k, 0)
         got = Gf2Subspace(v & mask for v in family.groups[2].rows() if v & mask)
         want = Gf2Subspace()
         if k < a:
@@ -606,20 +584,12 @@ def i1_exclusion_via_steenrod(D: int, i1_candidate: int) -> str:
 
     geometry = QuadricGeometry(D)
     i1 = i1_candidate
-    known = Cycle(
-        geometry,
-        2,
-        frozenset(
-            {
-                (BasisFactor("h", 0), BasisFactor("l", i1 - 1)),
-                (BasisFactor("l", i1 - 1), BasisFactor("h", 0)),
-            }
-        ),
-    )
-    target = (BasisFactor("h", 0), BasisFactor("l", i1 - 1 - two_r))
-    partner = (BasisFactor("l", i1 - 1), BasisFactor("h", two_r))
+    known = binary_cycle(geometry, i1 - 1)
+    target = (h(0), l(i1 - 1 - two_r))
+    partner = (l(i1 - 1), h(two_r))
     image = steenrod_k(known, two_r)
-    assert target in image.terms and partner not in image.terms
+    if target not in image.terms or partner in image.terms:
+        raise RuntimeError(f"S_{two_r} of the top cycle is not mirror-asymmetric at i1={i1}")
 
     # No allowed cell of the hypothetical top cycle can feed either side of the
     # mirror pair, so the asymmetry of the image is unavoidable.  Only the
@@ -627,8 +597,8 @@ def i1_exclusion_via_steenrod(D: int, i1_candidate: int) -> str:
     blocked: set[Term] = set()
     for i in range(1, i1):
         if i <= geometry.d and i + i1 - 1 <= geometry.d:
-            blocked.add((BasisFactor("h", i), BasisFactor("l", i + i1 - 1)))
-            blocked.add((BasisFactor("l", i + i1 - 1), BasisFactor("h", i)))
+            blocked.add((h(i), l(i + i1 - 1)))
+            blocked.add((l(i + i1 - 1), h(i)))
     for be in enumerate_basis(geometry, 2, geometry.D + i1 - 1):
         t = be.factors
         if not be.is_essential or t in blocked or t in known.terms:
