@@ -16,6 +16,7 @@ class Gf2Subspace:
 
     def __init__(self, vectors: Iterable[int] = ()) -> None:
         self._rows: dict[int, int] = {}  # pivot bit position -> row
+        self._pivots = 0  # bit union of the pivots
         for v in vectors:
             self.add(v)
 
@@ -25,9 +26,11 @@ class Gf2Subspace:
 
     def reduce(self, v: int) -> int:
         """Canonical residue of v modulo the subspace (all pivot bits cleared)."""
-        for p, row in self._rows.items():
-            if (v >> p) & 1:
-                v ^= row
+        hits = v & self._pivots  # a pivot bit lies in its own row only, so XOR just those rows
+        while hits:
+            low = hits & -hits
+            v ^= self._rows[low.bit_length() - 1]
+            hits ^= low
         return v
 
     def __contains__(self, v: int) -> bool:
@@ -38,11 +41,12 @@ class Gf2Subspace:
         v = self.reduce(v)
         if v == 0:
             return False
-        pivot = (v & -v).bit_length() - 1
+        low = v & -v
         for p, row in self._rows.items():
-            if (row >> pivot) & 1:
+            if row & low:
                 self._rows[p] = row ^ v
-        self._rows[pivot] = v
+        self._rows[low.bit_length() - 1] = v
+        self._pivots |= low
         return True
 
     def rows(self) -> list[int]:
@@ -60,6 +64,7 @@ class Gf2Subspace:
     def copy(self) -> "Gf2Subspace":
         out = Gf2Subspace()
         out._rows = dict(self._rows)
+        out._pivots = self._pivots
         return out
 
     def support(self) -> int:

@@ -13,6 +13,7 @@ minimal/primordial decomposition, small-quadric shape, descent).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -177,36 +178,49 @@ def family_from_generators(
 
 
 def closure(family: RationalFamily) -> RationalFamily:
-    """Smallest family containing the input and closed under the forced operations."""
+    """Smallest family containing the input and closed under the forced operations.
+
+    The operations are linear and the product bilinear, so a worklist of the
+    vectors that grew a group suffices: each goes once through the unary
+    operations and is multiplied by itself and every earlier vector of its
+    arity.  The h-monomial seeds go first and are not multiplied together.
+    """
     fam = family.copy()
-    for r in range(1, fam.max_arity + 1):
-        _, index = _coords(fam.geometry, r)
-        for t in itertools.product(fam.geometry.tables.h, repeat=r):  # the non-essential seed
-            fam.groups[r].add(1 << index[t])
+    top = fam.max_arity
+    queue = deque(c for r in range(1, top + 1) for c in family.members(r))
+    spanning: dict[int, list[Cycle]] = {r: [] for r in range(1, top + 1)}
 
-    def feed(c: Cycle) -> bool:
-        if c.is_zero or not 1 <= c.arity <= fam.max_arity:
-            return False
-        return fam.groups[c.arity].add(encode_cycle(c))
+    def feed(c: Cycle) -> None:
+        if c.terms and fam.groups[c.arity].add(encode_cycle(c)):
+            queue.append(c)
 
-    changed = True
-    while changed:
-        changed = False
-        for r in range(1, fam.max_arity + 1):
-            members = fam.members(r)
-            for c in members:
-                for piece in homogeneous_components(c).values():
-                    changed |= feed(piece)
-                for sigma in itertools.permutations(range(r)):
-                    changed |= feed(permute(c, sigma))
-                changed |= feed(steenrod_total(c))
-                changed |= feed(pullback_projection(c))
-                changed |= feed(pushforward_diagonal(c))
-                if r >= 2:
-                    changed |= feed(pushforward_projection(c))
-                    changed |= feed(pullback_diagonal(c))
-            for c1, c2 in itertools.combinations_with_replacement(members, 2):
-                changed |= feed(mul(c1, c2))
+    def unary(c: Cycle) -> None:
+        for piece in homogeneous_components(c).values():
+            feed(piece)
+        for sigma in itertools.permutations(range(c.arity)):
+            feed(permute(c, sigma))
+        feed(steenrod_total(c))
+        if c.arity < top:
+            feed(pullback_projection(c))
+            feed(pushforward_diagonal(c))
+        if c.arity >= 2:
+            feed(pushforward_projection(c))
+            feed(pullback_diagonal(c))
+
+    for r in range(1, top + 1):
+        for t in itertools.product(fam.geometry.tables.h, repeat=r):
+            seed = Cycle(fam.geometry, r, frozenset({t}))
+            fam.groups[r].add(encode_cycle(seed))
+            spanning[r].append(seed)
+    for seed in itertools.chain.from_iterable(spanning.values()):
+        unary(seed)
+    while queue:
+        c = queue.popleft()
+        unary(c)
+        earlier = spanning[c.arity]
+        earlier.append(c)
+        for e in earlier:
+            feed(mul(c, e))
     fam.closed = True
     return fam
 
@@ -318,11 +332,13 @@ def diagonal_essential_sum(geometry: QuadricGeometry) -> Cycle:
     return essential_part(diagonal_class(geometry))
 
 
-def minimal_cycles(family: RationalFamily, cap: int = 1 << 20) -> list[Cycle]:
+def minimal_cycles(family: RationalFamily) -> list[Cycle]:
     """Atoms of the essential codimension-at-most-D part of the arity-2 group.
 
     Each atom is the intersection of all group members containing one of its
-    basis elements; the atoms are pairwise disjoint and span the part.
+    basis elements; the atoms are pairwise disjoint and span the part.  Two
+    coordinates lie in the same atom exactly when their columns in the row
+    basis are equal, that is when every row meets both or neither.
     """
     _require_closed(family)
     if family.max_arity < 2:
@@ -330,36 +346,16 @@ def minimal_cycles(family: RationalFamily, cap: int = 1 << 20) -> list[Cycle]:
     geometry = family.geometry
     mask = sum(m for dim, m in _essential_masks(geometry).items() if dim >= geometry.D)
     ess = Gf2Subspace(v & mask for v in family.groups[2].rows())
-    middle = geometry.d
-    ld_ld = (l(middle), l(middle))
     _, index = _coords(geometry, 2)
-    if ess.support() >> index[ld_ld] & 1:
-        raise FamilyError("family contains l_d x l_d in a rational cycle")
-    try:
-        elements = [v for v in ess.enumerate(cap) if v]
-    except ValueError as exc:
-        raise FamilyError(str(exc)) from exc
-    atoms: dict[int, int] = {}
     support = ess.support()
-    bit = 1
-    while bit <= support:
-        if support & bit:
-            meet = None
-            for v in elements:
-                if v & bit:
-                    meet = v if meet is None else meet & v
-            if meet is None:
-                raise RuntimeError(f"no member meets coordinate {bit.bit_length() - 1}")
-            if meet not in ess:
-                raise FamilyError(
-                    "intersection closure violated; the family is inconsistent"
-                )
-            atoms[meet] = meet
-        bit <<= 1
+    if support >> index[(l(geometry.d), l(geometry.d))] & 1:
+        raise FamilyError("family contains l_d x l_d in a rational cycle")
+    atoms = [support] if support else []
+    for row in ess.rows():  # keep together the coordinates every row meets alike
+        atoms = [part for atom in atoms for part in (atom & row, atom & ~row) if part]
+    if any(atom not in ess for atom in atoms):
+        raise FamilyError("intersection closure violated; the family is inconsistent")
     out = [decode_cycle(geometry, 2, v) for v in atoms]
-    for a, b in itertools.combinations(atoms, 2):
-        if a & b:
-            raise FamilyError("minimal cycles are not pairwise disjoint")
     return sorted(out, key=lambda c: (c.dimension, c.sorted_terms()))
 
 
@@ -637,16 +633,14 @@ def check_all(
     even_bad: list = []
     forbidden_bad: list = []
     pairs_bad: list = []
-    for r in range(1, fam.max_arity + 1):
-        for member in fam.members(r):
-            if r == 2:
-                res = check_even_essential(member)
-                even_bad.extend(res.witnesses)
-                if fam.splitting is not None:
-                    res = check_forbidden(member, fam.splitting)
-                    forbidden_bad.extend(res.witnesses)
-                    res = check_pairs(member, fam.splitting)
-                    pairs_bad.extend(res.witnesses)
+    for member in fam.members(2) if fam.max_arity >= 2 else ():
+        res = check_even_essential(member)
+        even_bad.extend(res.witnesses)
+        if fam.splitting is not None:
+            res = check_forbidden(member, fam.splitting)
+            forbidden_bad.extend(res.witnesses)
+            res = check_pairs(member, fam.splitting)
+            pairs_bad.extend(res.witnesses)
     report["even_essential"] = CheckResult("even_essential", not even_bad, tuple(even_bad))
     if fam.max_arity >= 2 and fam.splitting is not None:
         report["forbidden_cells"] = CheckResult(
@@ -676,10 +670,11 @@ def check_all(
             )
         bad: list = []
         for r in range(1, fam.max_arity + 1):
+            members = fam.members(r)
             for sig in all_signatures(fam.geometry, a, r):
                 if not 1 <= sig.s <= inner.max_arity:
                     continue
-                for member in fam.members(r):
+                for member in members:
                     image = pr_multi(member, sig)
                     if not image.is_zero and not inner.contains(image):
                         bad.append((sig.indices, r))
