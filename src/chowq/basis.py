@@ -387,7 +387,7 @@ def render_cycle(c: Cycle) -> str:
     if c.is_zero:
         return "0"
     return " + ".join(
-        " x ".join(f"{f.kind}{f.index}" for f in term) for term in c.sorted_terms()
+        " x ".join(f"{'hl'[f & 1]}{f >> 1}" for f in term) for term in c.sorted_terms()
     )
 
 
@@ -395,7 +395,7 @@ def cycle_to_json(c: Cycle) -> dict:
     return {
         "D": c.geometry.D,
         "r": c.arity,
-        "terms": [[[f.kind, f.index] for f in term] for term in c.sorted_terms()],
+        "terms": [[["hl"[f & 1], f >> 1] for f in term] for term in c.sorted_terms()],
     }
 
 

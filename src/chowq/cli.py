@@ -17,12 +17,12 @@ from .basis import (
     BasisFactor,
     Cycle,
     CycleSyntaxError,
-    GeometryError,
     QuadricGeometry,
     cycle_from_json,
     cycle_to_json,
     parse_cycle,
     render_cycle,
+    term_is_essential,
 )
 from .correspondence import compose, derivative
 from .holes import (
@@ -36,11 +36,9 @@ from .holes import (
 from .ring import mul
 from .steenrod import steenrod_k, steenrod_total, steenrod_upto
 from .structure import (
-    FamilyError,
     RationalFamily,
     SplittingData,
     check_all,
-    closure,
     family_from_generators,
     forbidden_cells,
 )
@@ -178,7 +176,7 @@ def render_diagram(
             forbidden = forbidden_cells(geometry, splitting, D - i + 1)
         row = []
         for cell in cells:
-            essential = any(f.kind == "l" for f in cell)
+            essential = term_is_essential(cell)
             ch = "∗" if essential else "∘"
             if cell in marked:
                 ch = "●"
@@ -234,9 +232,6 @@ def _cmd_check(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    fam = closure(fam)
-    if inner is not None:
-        inner = closure(inner)
     results = list(check_all(fam, inner).values())
     if args.json:
         print(
@@ -379,9 +374,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CycleSyntaxError, GeometryError, FamilyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

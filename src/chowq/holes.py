@@ -162,15 +162,11 @@ def mu_prime_generators(params: HoleParams) -> list[Cycle]:
     return out
 
 
-def _weight(params: HoleParams) -> Cycle:
-    return single(params.geometry, h(0), h(0), h(params.b - 1))
-
-
 def build_xi(mu: Cycle, params: HoleParams) -> Cycle:
     """The contradiction cycle: compose mu with its twisted Steenrod image, pull back."""
     if mu.arity != 3:
         raise ValueError("the construction cycle must have arity 3")
-    inner = mul(steenrod_k(mu, 2 * params.a), _weight(params))
+    (inner,) = _inner_parts(params, [mu])
     composite = compose(inner, mu)
     xi = delta_pullback_q(composite)
     if not xi.is_zero:
@@ -201,13 +197,13 @@ def first_summand_formula(params: HoleParams) -> Cycle:
 
 
 def _inner_parts(params: HoleParams, parts: list[Cycle]) -> list[Cycle]:
-    """S_2a(x) * weight for each part x.
+    """S_2a(x) * (h^0 x h^0 x h^(b-1)) for each part x.
 
     Both maps are linear over GF(2), so for mu a sum of parts the inner
     factor of xi is the sum of the matching inner parts.
     """
     k = 2 * params.a
-    weight = _weight(params)
+    weight = single(params.geometry, h(0), h(0), h(params.b - 1))
     return [mul(steenrod_k(x, k), weight) for x in parts]
 
 
@@ -226,16 +222,15 @@ def _xi_from_parts(
     return delta_pullback_q(compose(Cycle(g, 3, frozenset(inner_terms)), mu))
 
 
-def _brute_range(args) -> tuple[int, list[int]]:
-    n, m, p, lo, hi = args
-    params = HoleParams(n, m, p)
-    parts = [build_mu_zero(params)] + mu_prime_generators(params)
-    inners = _inner_parts(params, parts)
+def _brute_range(span) -> tuple[int, list[int]]:
+    """Cases lo..hi-1 checked and those among them where the target cell vanishes."""
+    parts, inners, params, lo, hi = span
     target = target_cell(params)
-    failures = []
-    for case in range(lo, hi):
-        if target not in _xi_from_parts(parts, inners, case, params).terms:
-            failures.append(case)
+    failures = [
+        case
+        for case in range(lo, hi)
+        if target not in _xi_from_parts(parts, inners, case, params).terms
+    ]
     return hi - lo, failures
 
 
@@ -254,8 +249,8 @@ def verify_contradiction(
     if method not in ("brute", "bilinear"):
         raise ValueError(f"unknown method {method!r}")
 
-    mu0 = build_mu_zero(params)
-    gens = mu_prime_generators(params)
+    parts = [build_mu_zero(params)] + mu_prime_generators(params)
+    inners = _inner_parts(params, parts)
     target = target_cell(params)
     cert: dict = {
         "params": {"n": params.n, "m": params.m, "p": params.p},
@@ -268,35 +263,28 @@ def verify_contradiction(
         },
         "method": method,
         "target": render_cycle(single(params.geometry, *target)),
-        "mu0": render_cycle(mu0),
-        "generators": [render_cycle(g) for g in gens],
+        "mu0": render_cycle(parts[0]),
+        "generators": [render_cycle(g) for g in parts[1:]],
     }
 
     if method == "brute":
+        size = -(-n_cases // max(jobs, 1))
+        spans = [
+            (parts, inners, params, lo, min(lo + size, n_cases))
+            for lo in range(0, n_cases, size)
+        ]
         if jobs > 1:
-            chunk = (n_cases + jobs - 1) // jobs
-            spans = [
-                (params.n, params.m, params.p, lo, min(lo + chunk, n_cases))
-                for lo in range(0, n_cases, chunk)
-            ]
-            checked = 0
-            failures: list[int] = []
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for done, fails in pool.map(_brute_range, spans):
-                    checked += done
-                    failures.extend(fails)
+                results = list(pool.map(_brute_range, spans))
         else:
-            checked, failures = _brute_range(
-                (params.n, params.m, params.p, 0, n_cases)
-            )
-        cert["cases"] = checked
-        cert["failures"] = sorted(failures)
-        cert["passed"] = checked == n_cases and not failures
+            results = list(map(_brute_range, spans))
+        cert["cases"] = sum(done for done, _ in results)
+        cert["failures"] = sorted(case for _, fails in results for case in fails)
+        cert["passed"] = cert["cases"] == n_cases and not cert["failures"]
     else:
-        parts = [mu0] + gens
         blocks = {}
         bad = []
-        for iy, inner in enumerate(_inner_parts(params, parts)):
+        for iy, inner in enumerate(inners):
             for ix, x in enumerate(parts):
                 xi_block = delta_pullback_q(compose(inner, x))
                 bit = 1 if target in xi_block.terms else 0
@@ -321,8 +309,7 @@ def certificate_json(cert: dict) -> str:
 
 def dim_In_set(n: int, cap: int) -> set[int]:
     """Realized dimensions of anisotropic forms in the n-th power ideal, up to cap."""
-    out = {(1 << (n + 1)) - (1 << i) for i in range(1, n + 2)}
-    out = {v for v in out if v <= cap}
+    out = {v for v in small_splitting_pattern(n, 1) if v <= cap}
     out.update(range(1 << (n + 1), cap + 1, 2))
     return out
 
@@ -336,7 +323,7 @@ def small_splitting_pattern(n: int, m: int) -> set[int]:
 
 def vishik_pattern(n: int, m: int) -> set[int]:
     """The realizable splitting pattern with an even-dimensional tail up to m * 2^n."""
-    out = {(1 << (n + 1)) - (1 << i) for i in range(1, n + 2)}
+    out = small_splitting_pattern(n, 1)
     out.update(range(1 << (n + 1), m * (1 << n) + 1, 2))
     return out
 

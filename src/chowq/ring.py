@@ -39,13 +39,6 @@ def mul_factor(geometry: QuadricGeometry, a: BasisFactor, b: BasisFactor) -> Cyc
     return cycle(geometry, 1, terms)
 
 
-def mul_term(geometry: QuadricGeometry, s: Term, t: Term) -> Term | None:
-    """Factorwise product of two terms of equal arity; None encodes zero."""
-    prod = geometry.tables.prod
-    p = tuple(prod[a][b] for a, b in zip(s, t))
-    return None if None in p else p
-
-
 def _check_same(alpha: Cycle, beta: Cycle) -> None:
     if alpha.geometry != beta.geometry:
         raise GeometryError("cycles live over different geometries")
@@ -155,7 +148,6 @@ __all__ = [
     "mul",
     "mul_factor",
     "mul_factor_raw",
-    "mul_term",
     "permute",
     "sym",
     "transpose",

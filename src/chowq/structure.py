@@ -244,16 +244,17 @@ class CheckResult:
         return self.passed
 
 
+def _rational_l(family: RationalFamily) -> list[int]:
+    """The indices i, ascending, with l_i in the arity-1 group."""
+    geometry = family.geometry
+    return [i for i in range(geometry.d + 1) if family.contains(single(geometry, l(i)))]
+
+
 def check_springer(family: RationalFamily) -> CheckResult:
     """An anisotropic quadric admits no rational point class l_0 (nor any lone l_i)."""
     geometry = family.geometry
-    bad = []
-    for i in range(geometry.d + 1):
-        if geometry.is_even and i == geometry.D // 2:
-            continue  # middle class may be rational without forcing a point
-        li = single(geometry, l(i))
-        if family.contains(li):
-            bad.append(i)
+    # the middle class of an even quadric may be rational without forcing a point
+    bad = [i for i in _rational_l(family) if not (geometry.is_even and i == geometry.d)]
     return CheckResult("springer", not bad, tuple(bad))
 
 
@@ -278,13 +279,7 @@ def check_binary_size(family: RationalFamily) -> CheckResult:
 
 def witt_index_readoff(family: RationalFamily) -> int:
     """One more than the largest rational l_i at arity 1; zero when none exists."""
-    geometry = family.geometry
-    best = -1
-    for i in range(geometry.d + 1):
-        li = single(geometry, l(i))
-        if family.contains(li):
-            best = i
-    return best + 1
+    return max(_rational_l(family), default=-1) + 1
 
 
 def splitting_readoff(family: RationalFamily) -> SplittingData:
@@ -530,15 +525,20 @@ def known_generator(geometry: QuadricGeometry, a: int) -> Cycle:
     return sym(Cycle(geometry, 2, frozenset(terms)))
 
 
+def _is_small(geometry: QuadricGeometry, splitting: SplittingData) -> bool:
+    """The first Witt index divides every higher Witt index and d + 1."""
+    a = splitting.witt_indices[0]
+    return all(iq % a == 0 for iq in splitting.witt_indices) and (geometry.d + 1) % a == 0
+
+
 def check_known(family: RationalFamily, splitting: SplittingData) -> CheckResult:
     """Small-quadric structure: divisibility, the staircase cycle, spanning derivatives."""
     _require_closed(family)
     geometry = family.geometry
+    if not _is_small(geometry, splitting):
+        return CheckResult("known", False, ("divisibility",))
     a = splitting.witt_indices[0]
     problems: list = []
-    if any(iq % a for iq in splitting.witt_indices) or (geometry.d + 1) % a:
-        problems.append("divisibility")
-        return CheckResult("known", False, tuple(problems))
     pi = known_generator(geometry, a)
     if not family.contains(pi):
         problems.append("staircase-not-rational")
@@ -590,11 +590,7 @@ def i1_exclusion_via_steenrod(D: int, i1_candidate: int) -> str:
     # No allowed cell of the hypothetical top cycle can feed either side of the
     # mirror pair, so the asymmetry of the image is unavoidable.  Only the
     # first-shell exclusions are available; the rest of the splitting is unknown.
-    blocked: set[Term] = set()
-    for i in range(1, i1):
-        if i <= geometry.d and i + i1 - 1 <= geometry.d:
-            blocked.add((h(i), l(i + i1 - 1)))
-            blocked.add((l(i + i1 - 1), h(i)))
+    blocked = forbidden_cells(geometry, SplittingData((i1,)), i1)
     for be in enumerate_basis(geometry, 2, geometry.D + i1 - 1):
         t = be.factors
         if not be.is_essential or t in blocked or t in known.terms:
@@ -630,40 +626,30 @@ def check_all(
     report["springer"] = check_springer(fam)
     report["binary_size"] = check_binary_size(fam)
 
-    even_bad: list = []
-    forbidden_bad: list = []
-    pairs_bad: list = []
-    for member in fam.members(2) if fam.max_arity >= 2 else ():
-        res = check_even_essential(member)
-        even_bad.extend(res.witnesses)
-        if fam.splitting is not None:
-            res = check_forbidden(member, fam.splitting)
-            forbidden_bad.extend(res.witnesses)
-            res = check_pairs(member, fam.splitting)
-            pairs_bad.extend(res.witnesses)
-    report["even_essential"] = CheckResult("even_essential", not even_bad, tuple(even_bad))
-    if fam.max_arity >= 2 and fam.splitting is not None:
-        report["forbidden_cells"] = CheckResult(
-            "forbidden_cells", not forbidden_bad, tuple(forbidden_bad)
-        )
-        report["pairs"] = CheckResult("pairs", not pairs_bad, tuple(pairs_bad))
+    members = fam.members(2) if fam.max_arity >= 2 else []
+    split = fam.splitting
+
+    def over_members(name: str, check) -> None:
+        bad = [w for member in members for w in check(member).witnesses]
+        report[name] = CheckResult(name, not bad, tuple(bad))
+
+    over_members("even_essential", check_even_essential)
+    if fam.max_arity >= 2 and split is not None:
+        over_members("forbidden_cells", lambda member: check_forbidden(member, split))
+        over_members("pairs", lambda member: check_pairs(member, split))
         try:
-            primordial_cycles(fam, fam.splitting)
+            primordial_cycles(fam, split)
             report["primordial"] = CheckResult("primordial", True)
         except FamilyError as exc:
             report["primordial"] = CheckResult("primordial", False, (str(exc),))
-        a = fam.splitting.witt_indices[0]
-        small = all(iq % a == 0 for iq in fam.splitting.witt_indices) and (
-            fam.geometry.d + 1
-        ) % a == 0
-        if small:
-            report["known"] = check_known(fam, fam.splitting)
+        if _is_small(fam.geometry, split):
+            report["known"] = check_known(fam, split)
     elif fam.max_arity >= 2:
         report["minimal_diagonal"] = check_minimal_diagonal(fam)
 
-    if inner_family is not None and fam.splitting is not None:
+    if inner_family is not None and split is not None:
         inner = inner_family if inner_family.closed else closure(inner_family)
-        a = fam.splitting.witt_indices[0]
+        a = split.witt_indices[0]
         if inner.geometry.D != fam.geometry.D - 2 * a:
             raise FamilyError(
                 "inner family geometry does not match the first Witt index"

@@ -70,6 +70,13 @@ def test_render_and_json_of_an_arity_3_cycle():
     assert cycle_from_json(cycle_to_json(c)) == c
 
 
+def test_plain_int_factor_codes_render_by_code():
+    g = QuadricGeometry(6)
+    c = Cycle(g, 1, frozenset({(3,)}))  # the code of l1 as a plain int
+    assert render_cycle(c) == "l1"
+    assert cycle_to_json(c) == cycle_to_json(single(g, l(1)))
+
+
 def test_forbidden_cells_witness_text():
     alpha = parse_cycle("h1 x l2 + l2 x h1", QuadricGeometry(6), 2)
     res = check_forbidden(alpha, SplittingData((2, 2)))

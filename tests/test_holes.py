@@ -5,6 +5,7 @@ import json
 import pytest
 
 from chowq.basis import enumerate_basis, h, l, single
+from chowq import holes
 from chowq.correspondence import compose, delta_pullback_q
 from chowq.holes import (
     HoleParams,
@@ -205,6 +206,24 @@ def test_verify_parallel_matches():
     serial = verify_contradiction(p, method="brute")
     parallel = verify_contradiction(p, method="brute", jobs=2)
     assert parallel["passed"] and parallel["cases"] == serial["cases"]
+
+
+def test_verify_brute_merges_failures(monkeypatch):
+    def mutated(params):
+        gens = mu_prime_generators(params)
+        chi = gens[3]  # chi_2 on the first slot, less one term
+        gens[3] = chi + single(params.geometry, *chi.sorted_terms()[0])
+        return gens
+
+    monkeypatch.setattr(holes, "mu_prime_generators", mutated)
+    certs = [
+        verify_contradiction(HoleParams(4, 3, 1), method="brute", jobs=jobs)
+        for jobs in (1, 2, 3)
+    ]
+    for cert in certs:
+        assert cert["passed"] is False and cert["cases"] == 4096
+        assert len(cert["failures"]) == 2048
+        assert cert["failures"] == certs[0]["failures"]
 
 
 def test_verify_default_method_and_errors():
