@@ -181,25 +181,31 @@ def closure(family: RationalFamily) -> RationalFamily:
     """Smallest family containing the input and closed under the forced operations.
 
     The operations are linear and the product bilinear, so a worklist of the
-    vectors that grew a group suffices: each goes once through the unary
-    operations and is multiplied by itself and every earlier vector of its
-    arity.  The h-monomial seeds go first and are not multiplied together.
+    vectors that grew a group suffices.  It holds homogeneous vectors only: the
+    input and each total Steenrod image enter as their homogeneous components.
+    A vector of arity r goes once through the unary operations and is multiplied
+    by the slot generators h^0 x .. x h^1 x .. x h^0, whose products give every
+    h-monomial seed, by itself and by the earlier vectors, skipping the pairs of
+    dimensions adding up to less than r*D: such a product vanishes.
     """
-    fam = family.copy()
-    top = fam.max_arity
-    queue = deque(c for r in range(1, top + 1) for c in family.members(r))
-    spanning: dict[int, list[Cycle]] = {r: [] for r in range(1, top + 1)}
+    geometry, top = family.geometry, family.max_arity
+    fam = RationalFamily(geometry, top, splitting=family.splitting)
+    queue: deque[Cycle] = deque()
+    seeds: list[Cycle] = []
+    earlier: dict[int, list[tuple[int, Cycle]]] = {r: [] for r in range(1, top + 1)}
 
     def feed(c: Cycle) -> None:
         if c.terms and fam.groups[c.arity].add(encode_cycle(c)):
             queue.append(c)
 
-    def unary(c: Cycle) -> None:
+    def feed_components(c: Cycle) -> None:
         for piece in homogeneous_components(c).values():
             feed(piece)
+
+    def unary(c: Cycle) -> None:
         for sigma in itertools.permutations(range(c.arity)):
             feed(permute(c, sigma))
-        feed(steenrod_total(c))
+        feed_components(steenrod_total(c))
         if c.arity < top:
             feed(pullback_projection(c))
             feed(pushforward_diagonal(c))
@@ -208,19 +214,24 @@ def closure(family: RationalFamily) -> RationalFamily:
             feed(pullback_diagonal(c))
 
     for r in range(1, top + 1):
-        for t in itertools.product(fam.geometry.tables.h, repeat=r):
-            seed = Cycle(fam.geometry, r, frozenset({t}))
+        for t in itertools.product(geometry.tables.h, repeat=r):
+            seed = single(geometry, *t)
             fam.groups[r].add(encode_cycle(seed))
-            spanning[r].append(seed)
-    for seed in itertools.chain.from_iterable(spanning.values()):
+            seeds.append(seed)
+            if seed.codimension == 1:  # h^1 in one slot: a slot generator
+                earlier[r].append((seed.dimension, seed))
+        for c in family.members(r):
+            feed_components(c)
+    for seed in seeds:
         unary(seed)
     while queue:
         c = queue.popleft()
         unary(c)
-        earlier = spanning[c.arity]
-        earlier.append(c)
-        for e in earlier:
-            feed(mul(c, e))
+        r, dim = c.arity, c.dimension
+        earlier[r].append((dim, c))
+        for e_dim, e in earlier[r]:
+            if dim + e_dim >= r * geometry.D:
+                feed(mul(c, e))
     fam.closed = True
     return fam
 

@@ -86,6 +86,16 @@ def test_enumerate_dim_filter_oracle():
     assert {e.factors for e in got} == expected
 
 
+def test_enumerate_by_dimension_matches_the_filtered_walk():
+    # the direct listing of one dimension keeps the order of the full enumeration
+    for D in range(0, 10):
+        g = QuadricGeometry(D)
+        for r in range(1, 4):
+            every = enumerate_basis(g, r)
+            for dim in range(r * D + 1):
+                assert enumerate_basis(g, r, dim) == [e for e in every if e.dimension == dim]
+
+
 def test_enumerate_errors():
     g = QuadricGeometry(4)
     with pytest.raises(ArityError):
