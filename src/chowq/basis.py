@@ -106,8 +106,9 @@ class FactorTables:
     (D+1)(d+1) * l_0 mod 2.  Every other l_i * l_j vanishes: writing l_j =
     h^(d-j) * l_d forces l_i * l_j = h^(d-i) h^(d-j) l_d^2 = 0 for (i, j) !=
     (d, d).  Total Steenrod images: S(h^i) = h^i (1+h)^i and S(l_i) =
-    l_i (1+h)^(D-i+1).  The product, partner and Steenrod tables are built on
-    first use; product rows are assembled from slices of the factor lists.
+    l_i (1+h)^(D-i+1).  The product, partner and Steenrod tables and the
+    coordinates of the arity-r terms are built on first use; product rows are
+    assembled from slices of the factor lists.
     """
 
     def __init__(self, D: int) -> None:
@@ -120,6 +121,7 @@ class FactorTables:
         self.dims = _interleave(list(range(D, D - d - 1, -1)), list(range(d + 1)))
         self.order = _interleave(list(range(d + 1)), list(range(d + 1, 2 * d + 2)))
         self.middle_square = (D + 1) * (d + 1) % 2 == 1  # l_d * l_d = l_0
+        self._coords: dict[int, tuple[list[Term], dict[Term, int]]] = {}
 
     @cached_property
     def prod(self) -> list[list[BasisFactor | None]]:
@@ -156,6 +158,24 @@ class FactorTables:
                 for i in range(d + 1)
             ],
         )
+
+    def coords(self, r: int) -> tuple[list[Term], dict[Term, int]]:
+        """The arity-r terms in canonical order (h's before l's in each slot) and their indices."""
+        got = self._coords.get(r)
+        if got is None:
+            terms = list(product(self.h + self.l, repeat=r))
+            got = self._coords[r] = (terms, {t: i for i, t in enumerate(terms)})
+        return got
+
+    @cached_property
+    def essential_masks(self) -> dict[int, int]:
+        """Coordinate masks of the essential arity-2 terms, those with an l factor, by dimension."""
+        dims, masks = self.dims, {}
+        for i, (a, b) in enumerate(self.coords(2)[0]):
+            if (a | b) & 1:
+                dim = dims[a] + dims[b]
+                masks[dim] = masks.get(dim, 0) | 1 << i
+        return masks
 
 
 _TABLES: dict[int, FactorTables] = {}

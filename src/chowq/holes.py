@@ -243,6 +243,8 @@ def verify_contradiction(
     the parity of the target coefficient block by block.  The default picks
     brute force below BRUTE_THRESHOLD cases.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     n_cases = 1 << (3 * params.j_count)
     if method is None:
         method = "brute" if n_cases <= BRUTE_THRESHOLD else "bilinear"
@@ -268,13 +270,13 @@ def verify_contradiction(
     }
 
     if method == "brute":
-        size = -(-n_cases // max(jobs, 1))
+        size = -(-n_cases // jobs)
         spans = [
             (parts, inners, params, lo, min(lo + size, n_cases))
             for lo in range(0, n_cases, size)
         ]
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=len(spans)) as pool:
                 results = list(pool.map(_brute_range, spans))
         else:
             results = list(map(_brute_range, spans))

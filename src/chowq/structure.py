@@ -3,11 +3,15 @@
 A RationalFamily holds, for each arity up to a bound, a GF(2) subspace of
 cycles presumed to come from the base field.  The closure operator adds
 everything forced by rationality: non-essential elements, products,
-homogeneous components, permutations, first-position projection/diagonal
-pull-backs and push-forwards, and the total Steenrod operation.  The
-checkers then test the structural constraints a genuine family must
-satisfy (point-degree parity, binary-size, shell-triangle symmetries,
-minimal/primordial decomposition, small-quadric shape, descent).
+homogeneous components, adjacent transpositions (which generate all
+permutations), first-position projection/diagonal pull-backs and
+push-forwards, and the total Steenrod operation.  A closed group is graded,
+and the reduced echelon basis of a graded subspace is the union of the
+unique bases of its pieces, so every row is homogeneous.  The checkers then
+test the structural constraints a genuine family must satisfy (point-degree
+parity, binary-size, shell-triangle symmetries, minimal/primordial
+decomposition, small-quadric shape, descent); those on one cycle take such
+a row: the zero cycle passes and an inhomogeneous one raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .basis import (
     h,
     l,
     single,
-    term_dimension,
     term_is_essential,
 )
 from .correspondence import (
@@ -44,7 +47,6 @@ from .ring import (
     essential_part,
     homogeneous_components,
     mul,
-    permute,
     sym,
     transpose,
 )
@@ -54,19 +56,8 @@ from .steenrod import steenrod_k, steenrod_total
 # coordinates: cycles <-> int bitsets over the canonical basis order
 
 
-_COORD_CACHE: dict[tuple[int, int], tuple[list[Term], dict[Term, int]]] = {}
-
-
-def _coords(geometry: QuadricGeometry, r: int) -> tuple[list[Term], dict[Term, int]]:
-    key = (geometry.D, r)
-    if key not in _COORD_CACHE:
-        terms = list(itertools.product(geometry.factors(), repeat=r))
-        _COORD_CACHE[key] = (terms, {t: i for i, t in enumerate(terms)})
-    return _COORD_CACHE[key]
-
-
 def encode_cycle(c: Cycle) -> int:
-    _, index = _coords(c.geometry, c.arity)
+    _, index = c.geometry.tables.coords(c.arity)
     v = 0
     for t in c.terms:
         v |= 1 << index[t]
@@ -74,7 +65,7 @@ def encode_cycle(c: Cycle) -> int:
 
 
 def decode_cycle(geometry: QuadricGeometry, r: int, v: int) -> Cycle:
-    terms, _ = _coords(geometry, r)
+    terms, _ = geometry.tables.coords(r)
     acc = []
     while v:
         low = v & -v
@@ -140,6 +131,8 @@ class RationalFamily:
         return self.groups[c.arity].add(encode_cycle(c))
 
     def contains(self, c: Cycle) -> bool:
+        if c.geometry != self.geometry:
+            raise ValueError("cycle over a different geometry")
         if c.arity not in self.groups:
             return False
         return encode_cycle(c) in self.groups[c.arity]
@@ -183,10 +176,11 @@ def closure(family: RationalFamily) -> RationalFamily:
     The operations are linear and the product bilinear, so a worklist of the
     vectors that grew a group suffices.  It holds homogeneous vectors only: the
     input and each total Steenrod image enter as their homogeneous components.
-    A vector of arity r goes once through the unary operations and is multiplied
-    by the slot generators h^0 x .. x h^1 x .. x h^0, whose products give every
-    h-monomial seed, by itself and by the earlier vectors, skipping the pairs of
-    dimensions adding up to less than r*D: such a product vanishes.
+    A vector of arity r goes once through the unary operations, among them the
+    r-1 adjacent transpositions, which generate every permutation.  It is
+    multiplied by the slot generators h^0 x .. x h^1 x .. x h^0, whose products
+    give every h-monomial seed, by itself and by the earlier vectors, skipping
+    the pairs of dimensions adding up to less than r*D: such a product vanishes.
     """
     geometry, top = family.geometry, family.max_arity
     fam = RationalFamily(geometry, top, splitting=family.splitting)
@@ -203,8 +197,8 @@ def closure(family: RationalFamily) -> RationalFamily:
             feed(piece)
 
     def unary(c: Cycle) -> None:
-        for sigma in itertools.permutations(range(c.arity)):
-            feed(permute(c, sigma))
+        for i in range(c.arity - 1):
+            feed(transpose(c, i, i + 1))
         feed_components(steenrod_total(c))
         if c.arity < top:
             feed(pullback_projection(c))
@@ -322,17 +316,6 @@ def splitting_readoff(family: RationalFamily) -> SplittingData:
 # minimal and primordial cycles
 
 
-def _essential_masks(geometry: QuadricGeometry) -> dict[int, int]:
-    """Coordinate masks of the essential arity-2 basis elements, by dimension."""
-    terms, _ = _coords(geometry, 2)
-    masks: dict[int, int] = {}
-    for i, t in enumerate(terms):
-        if term_is_essential(t):
-            dim = term_dimension(geometry, t)
-            masks[dim] = masks.get(dim, 0) | 1 << i
-    return masks
-
-
 def diagonal_essential_sum(geometry: QuadricGeometry) -> Cycle:
     """The dimension-D identity: sum of all h^i x l_i and l_i x h^i."""
     return essential_part(diagonal_class(geometry))
@@ -350,9 +333,9 @@ def minimal_cycles(family: RationalFamily) -> list[Cycle]:
     if family.max_arity < 2:
         raise FamilyError("minimal cycles need an arity-2 group")
     geometry = family.geometry
-    mask = sum(m for dim, m in _essential_masks(geometry).items() if dim >= geometry.D)
+    mask = sum(m for dim, m in geometry.tables.essential_masks.items() if dim >= geometry.D)
     ess = Gf2Subspace(v & mask for v in family.groups[2].rows())
-    _, index = _coords(geometry, 2)
+    _, index = geometry.tables.coords(2)
     support = ess.support()
     if support >> index[(l(geometry.d), l(geometry.d))] & 1:
         raise FamilyError("family contains l_d x l_d in a rational cycle")
@@ -464,46 +447,40 @@ def forbidden_cells(
 
 
 def check_forbidden(alpha: Cycle, splitting: SplittingData) -> CheckResult:
-    """No homogeneous piece of a rational cycle may meet its forbidden cells."""
-    bad = []
-    for dim, piece in homogeneous_components(alpha).items():
-        k = dim - alpha.geometry.D + 1
-        cells = forbidden_cells(alpha.geometry, splitting, k)
-        bad.extend(sorted(piece.terms & cells))
+    """A homogeneous rational cycle meets none of the forbidden cells of its dimension."""
+    if alpha.is_zero:
+        return CheckResult("forbidden_cells", True)
+    cells = forbidden_cells(alpha.geometry, splitting, alpha.dimension - alpha.geometry.D + 1)
+    bad = sorted(alpha.terms & cells)
     return CheckResult("forbidden_cells", not bad, tuple(bad))
 
 
 def check_pairs(alpha: Cycle, splitting: SplittingData) -> CheckResult:
-    """Left/right shell-triangle mirror symmetry of the diagram of alpha."""
+    """Left/right shell-triangle mirror symmetry of the diagram of a homogeneous cycle."""
     geometry = alpha.geometry
+    if alpha.is_zero or alpha.dimension < geometry.D:
+        return CheckResult("pairs", True)
+    k = alpha.dimension - geometry.D
     js = splitting.partial_sums
     bad = []
-    for dim, piece in homogeneous_components(alpha).items():
-        k = dim - geometry.D
-        if k < 0:
-            continue
-        for q in splitting.shells():
-            for x in range(js[q - 1], js[q] - k):
-                y = js[q - 1] + js[q] - 1 - x
-                if x + k > geometry.d or y > geometry.d:
-                    continue
-                left = (h(x), l(x + k))
-                right = (l(y), h(y - k))
-                if (left in piece.terms) != (right in piece.terms):
-                    bad.append((left, right))
+    for q in splitting.shells():
+        for x in range(js[q - 1], js[q] - k):
+            y = js[q - 1] + js[q] - 1 - x
+            if x + k > geometry.d or y > geometry.d:
+                continue
+            left = (h(x), l(x + k))
+            right = (l(y), h(y - k))
+            if (left in alpha.terms) != (right in alpha.terms):
+                bad.append((left, right))
     return CheckResult("pairs", not bad, tuple(bad))
 
 
 def check_even_essential(alpha: Cycle) -> CheckResult:
-    """Every homogeneous piece of codimension at most D has an even point count."""
-    bad = []
-    for dim, piece in homogeneous_components(alpha).items():
-        if dim < alpha.geometry.D:
-            continue
-        n = sum(1 for t in piece.terms if term_is_essential(t))
-        if n % 2:
-            bad.append((dim, n))
-    return CheckResult("even_essential", not bad, tuple(bad))
+    """A homogeneous cycle of codimension at most D has an even point count."""
+    if alpha.is_zero or alpha.dimension < alpha.geometry.D:
+        return CheckResult("even_essential", True)
+    n = sum(1 for t in alpha.terms if term_is_essential(t))
+    return CheckResult("even_essential", n % 2 == 0, ((alpha.dimension, n),) if n % 2 else ())
 
 
 def check_neravenstva(
@@ -553,7 +530,7 @@ def check_known(family: RationalFamily, splitting: SplittingData) -> CheckResult
     pi = known_generator(geometry, a)
     if not family.contains(pi):
         problems.append("staircase-not-rational")
-    masks = _essential_masks(geometry)
+    masks = geometry.tables.essential_masks
     for k in range(0, geometry.D + 1):
         mask = masks.get(geometry.D + k, 0)
         got = Gf2Subspace(v & mask for v in family.groups[2].rows() if v & mask)

@@ -175,6 +175,14 @@ def test_verify_bad_params(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_bad_job_count(capsys, jobs):
+    code, out, err = run(
+        capsys, "verify", "--n", "4", "--m", "3", "--p", "1", "--jobs", jobs
+    )
+    assert code == 1 and out == "" and "jobs must be at least 1" in err
+
+
 def test_verify_unknown_kind(capsys):
     code, _, err = run(
         capsys, "verify", "nonsense", "--n", "4", "--m", "3", "--p", "1"

@@ -23,7 +23,6 @@ from chowq.steenrod import steenrod_total
 from chowq.structure import (
     RationalFamily,
     SplittingData,
-    _coords,
     closure,
     encode_cycle,
     family_from_generators,
@@ -34,7 +33,7 @@ from chowq.structure import (
 def round_closure(family: RationalFamily) -> RationalFamily:
     fam = family.copy()
     for r in range(1, fam.max_arity + 1):
-        _, index = _coords(fam.geometry, r)
+        _, index = fam.geometry.tables.coords(r)
         for t in itertools.product(fam.geometry.tables.h, repeat=r):  # the non-essential seed
             fam.groups[r].add(1 << index[t])
 

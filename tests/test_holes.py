@@ -208,7 +208,29 @@ def test_verify_parallel_matches():
     assert parallel["passed"] and parallel["cases"] == serial["cases"]
 
 
-def test_verify_brute_merges_failures(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with one that records its size and maps in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(holes, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_verify_brute_merges_failures(monkeypatch, pool_sizes):
     def mutated(params):
         gens = mu_prime_generators(params)
         chi = gens[3]  # chi_2 on the first slot, less one term
@@ -220,10 +242,26 @@ def test_verify_brute_merges_failures(monkeypatch):
         verify_contradiction(HoleParams(4, 3, 1), method="brute", jobs=jobs)
         for jobs in (1, 2, 3)
     ]
+    assert pool_sizes == [2, 3]
     for cert in certs:
         assert cert["passed"] is False and cert["cases"] == 4096
         assert len(cert["failures"]) == 2048
         assert cert["failures"] == certs[0]["failures"]
+
+
+def test_verify_pool_has_at_most_one_worker_per_range(pool_sizes):
+    p = HoleParams(4, 3, 1)
+    cert = verify_contradiction(p, method="brute", jobs=5000)  # 4096 cases: ranges of 1
+    assert pool_sizes == [4096]
+    assert cert["passed"] and cert["cases"] == 4096
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_verify_rejects_job_counts_below_one(jobs, pool_sizes):
+    for method in ("brute", "bilinear"):
+        with pytest.raises(ValueError, match="jobs"):
+            verify_contradiction(HoleParams(4, 3, 1), method=method, jobs=jobs)
+    assert pool_sizes == []
 
 
 def test_verify_default_method_and_errors():

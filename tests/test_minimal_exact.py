@@ -10,8 +10,6 @@ from chowq.structure import (
     FamilyError,
     RationalFamily,
     SplittingData,
-    _coords,
-    _essential_masks,
     _require_closed,
     check_all,
     closure,
@@ -26,9 +24,9 @@ def enumerating_minimal_cycles(family, cap=1 << 20):
     """The intersection of all members through each coordinate, over all 2^rank members."""
     _require_closed(family)
     geometry = family.geometry
-    mask = sum(m for dim, m in _essential_masks(geometry).items() if dim >= geometry.D)
+    mask = sum(m for dim, m in geometry.tables.essential_masks.items() if dim >= geometry.D)
     ess = Gf2Subspace(v & mask for v in family.groups[2].rows())
-    _, index = _coords(geometry, 2)
+    _, index = geometry.tables.coords(2)
     if ess.support() >> index[(l(geometry.d), l(geometry.d))] & 1:
         raise FamilyError("family contains l_d x l_d in a rational cycle")
     elements = [v for v in ess.enumerate(cap) if v]
@@ -59,7 +57,7 @@ def outcome(fn, family):
 
 def essential_rank(family):
     g = family.geometry
-    mask = sum(m for dim, m in _essential_masks(g).items() if dim >= g.D)
+    mask = sum(m for dim, m in g.tables.essential_masks.items() if dim >= g.D)
     return Gf2Subspace(v & mask for v in family.groups[2].rows()).rank
 
 
@@ -82,10 +80,10 @@ def test_staircases_match_enumeration():
 
 
 G4 = QuadricGeometry(4)
-_, INDEX4 = _coords(G4, 2)
+_, INDEX4 = G4.tables.coords(2)
 # homogeneous essential slices of dimension >= D, without l_d x l_d
 SLICES4 = [
-    m & ~(1 << INDEX4[(l(G4.d), l(G4.d))]) for dim, m in _essential_masks(G4).items() if dim >= G4.D
+    m & ~(1 << INDEX4[(l(G4.d), l(G4.d))]) for dim, m in G4.tables.essential_masks.items() if dim >= G4.D
 ]
 
 
@@ -102,7 +100,7 @@ def test_arbitrary_spans_match_enumeration(pieces):
 
 def test_inconsistent_span_is_rejected():
     g = QuadricGeometry(4)
-    _, index = _coords(g, 2)
+    _, index = g.tables.coords(2)
     a, b, c = (1 << index[t] for t in [(h(0), l(0)), (h(1), l(1)), (l(0), h(0))])
     fam = RationalFamily(g, 2)
     fam.groups[2].add(a | b)

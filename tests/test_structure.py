@@ -67,6 +67,17 @@ def test_encode_decode_roundtrip():
     assert encode_cycle(decode_cycle(g, 2, 0b1011)) == 0b1011
 
 
+def test_membership_needs_the_family_geometry():
+    g6, g8 = QuadricGeometry(6), QuadricGeometry(8)
+    fam = family_from_generators(g6, 1, [single(g6, l(1))])
+    assert fam.contains(single(g6, l(1)))
+    # l0 at D=8 has the same coordinate as l1 at D=6
+    with pytest.raises(ValueError, match="different geometry"):
+        fam.contains(single(g8, l(0)))
+    with pytest.raises(ValueError, match="different geometry"):
+        fam.add(single(g8, l(0)))
+
+
 def test_splitting_data():
     s = SplittingData((2, 2))
     assert s.height == 2
