@@ -105,10 +105,11 @@ class FactorTables:
     Products: h^(d+1) = 0, h * l_i = l_(i-1) with l_(-1) = 0, and l_d * l_d =
     (D+1)(d+1) * l_0 mod 2.  Every other l_i * l_j vanishes: writing l_j =
     h^(d-j) * l_d forces l_i * l_j = h^(d-i) h^(d-j) l_d^2 = 0 for (i, j) !=
-    (d, d).  Total Steenrod images: S(h^i) = h^i (1+h)^i and S(l_i) =
-    l_i (1+h)^(D-i+1).  The product, partner and Steenrod tables and the
-    coordinates of the arity-r terms are built on first use; product rows are
-    assembled from slices of the factor lists.
+    (d, d).  Graded Steenrod squares, each one factor or zero: S^k(h^i) =
+    C(i, k) * h^(i+k) and S^k(l_i) = C(D-i+1, k) * l_(i-k); their sums are the
+    total images S(h^i) = h^i (1+h)^i and S(l_i) = l_i (1+h)^(D-i+1).  Tables
+    and the coordinates of the arity-r terms are built on first use; product
+    rows are assembled from slices of the factor lists.
     """
 
     def __init__(self, D: int) -> None:
@@ -148,16 +149,19 @@ class FactorTables:
         return [tuple(compress(self.factors, map(is_, row, repeat(l0)))) for row in self.prod]
 
     @cached_property
-    def steenrod(self) -> list[tuple[BasisFactor, ...]]:
-        """steenrod[f] lists the factors of the total Steenrod image of f."""
+    def squares(self) -> list[list[BasisFactor | None]]:
+        """squares[f][k] is the factor S^k(f), or None where it vanishes; rows end at h^d, l_0."""
         D, d, H, L = self.D, self.d, self.h, self.l
-        return _interleave(
-            [tuple(H[i + k] for k in range(d - i + 1) if binom_mod2(i, k)) for i in range(d + 1)],
-            [
-                tuple(L[i - k] for k in range(i + 1) if binom_mod2(D - i + 1, k))
-                for i in range(d + 1)
-            ],
-        )
+        rows = []
+        for i in range(d + 1):
+            rows.append([H[i + k] if binom_mod2(i, k) else None for k in range(d - i + 1)])
+            rows.append([L[i - k] if binom_mod2(D - i + 1, k) else None for k in range(i + 1)])
+        return rows
+
+    @cached_property
+    def steenrod(self) -> list[tuple[BasisFactor, ...]]:
+        """steenrod[f] lists the factors of the total Steenrod image of f: the squares of f."""
+        return [tuple(g for g in row if g is not None) for row in self.squares]
 
     def coords(self, r: int) -> tuple[list[Term], dict[Term, int]]:
         """The arity-r terms in canonical order (h's before l's in each slot) and their indices."""

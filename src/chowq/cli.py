@@ -317,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steenrod", help="Steenrod operation on a cycle")
     _add_common(p)
-    p.add_argument("-k", type=int, default=None, help="single operation order")
-    p.add_argument("--upto", type=int, default=None, help="sum of orders 0..K")
+    order = p.add_mutually_exclusive_group()
+    order.add_argument("-k", type=int, default=None, help="single operation order")
+    order.add_argument("--upto", type=int, default=None, help="sum of orders 0..K")
     p.add_argument("--arity", type=int, default=None)
     p.add_argument("cycle")
     p.set_defaults(func=_cmd_steenrod)

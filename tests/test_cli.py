@@ -46,6 +46,14 @@ def test_steenrod(capsys):
     assert code == 0 and out.strip() == "h2"
 
 
+def test_steenrod_order_and_upto_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["steenrod", "-D", "8", "-k", "1", "--upto", "2", "h2"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err and "usage" in err
+
+
 def test_compose(capsys):
     code, out, _ = run(capsys, "compose", "-D", "10", "h2 x l0", "h0 x l5")
     assert code == 0 and out.strip() == "h2 x l5"

@@ -27,6 +27,7 @@ from chowq.holes import (
 from chowq.isotropy import generic_point_pullback
 from chowq.ring import mul, sym
 from chowq.steenrod import steenrod_k
+from test_steenrod import steenrod_k_oracle
 
 VALID_PARAMS = [
     (4, 3, 1),
@@ -199,6 +200,21 @@ def test_verify_both_methods(nmp):
     assert brute["cases"] == bilinear["cases"] == 4096
     assert brute["failures"] == [] and bilinear["failures"] == []
     assert brute["target"] == bilinear["target"]
+
+
+@pytest.mark.parametrize("nmp", [(7, 6, 1), (7, 3, 1), (9, 3, 1)])
+def test_inner_parts_match_total_square_oracle(nmp):
+    p = HoleParams(*nmp)
+    parts = [build_mu_zero(p)] + mu_prime_generators(p)
+    weight = single(p.geometry, h(0), h(0), h(p.b - 1))
+    want = [mul(steenrod_k_oracle(x, 2 * p.a), weight) for x in parts]
+    assert holes._inner_parts(p, parts) == want
+
+
+def test_verify_bilinear_at_D_1016():
+    cert = verify_contradiction(HoleParams(9, 3, 1), method="bilinear")
+    assert cert["params"]["n"] == 9 and cert["passed"]
+    assert cert["failures"] == [] and cert["blocks"]["0,0"] == 1
 
 
 def test_verify_parallel_matches():

@@ -5,15 +5,33 @@ import math
 
 import pytest
 
-from chowq.basis import QuadricGeometry, enumerate_basis, h, l, single, zero
-from chowq.holes import HoleParams
-from chowq.ring import external_product, mul, permute
+from chowq.basis import Cycle, QuadricGeometry, enumerate_basis, h, l, single, term_dimension, zero
+from chowq.holes import HoleParams, build_mu_zero
+from chowq.ring import (
+    external_product,
+    homogeneous_component,
+    homogeneous_components,
+    mul,
+    permute,
+)
 from chowq.steenrod import (
     binom_mod2,
     steenrod_k,
     steenrod_total,
     steenrod_upto,
 )
+
+
+def steenrod_k_oracle(x, k):
+    """The graded square as the piece of the total square in codimension +k."""
+    return homogeneous_component(steenrod_total(x), x.dimension - k)
+
+
+def steenrod_upto_oracle(x, k_max):
+    """The total square truncated to the pieces of codimension +0..+k_max."""
+    low = x.dimension - k_max
+    kept = (t for t in steenrod_total(x).terms if term_dimension(x.geometry, t) >= low)
+    return Cycle(x.geometry, x.arity, frozenset(kept))
 
 
 def test_binom_small():
@@ -56,9 +74,73 @@ def test_graded_pieces():
 def test_graded_rejects_mixed():
     g = QuadricGeometry(6)
     mixed = single(g, h(0)) + single(g, h(1))
-    with pytest.raises(ValueError):
-        steenrod_k(mixed, 1)
+    for k in (-1, 0, 1, 7):
+        with pytest.raises(ValueError, match="homogeneous"):
+            steenrod_k(mixed, k)
+        with pytest.raises(ValueError, match="homogeneous"):
+            steenrod_upto(mixed, k)
     assert steenrod_k(zero(g, 1), 3).is_zero
+    assert steenrod_upto(zero(g, 1), 3).is_zero
+
+
+def test_square_table_follows_the_binomial_rule():
+    for D in range(0, 21):
+        tables = QuadricGeometry(D).tables
+        for i in range(tables.d + 1):
+            assert len(tables.squares[h(i)]) == tables.d - i + 1
+            assert len(tables.squares[l(i)]) == i + 1
+            for k, got in enumerate(tables.squares[h(i)]):
+                assert got == (h(i + k) if math.comb(i, k) % 2 else None), (D, i, k)
+            for k, got in enumerate(tables.squares[l(i)]):
+                assert got == (l(i - k) if math.comb(D - i + 1, k) % 2 else None), (D, i, k)
+        for f in tables.factors:
+            assert tables.steenrod[f] == tuple(g for g in tables.squares[f] if g is not None)
+
+
+@pytest.mark.parametrize("D", range(0, 13))
+def test_graded_matches_total_square_oracle(D):
+    # Every basis term of arity <= 3 and every order from -1 to r*D + 1.  The two
+    # oracles are computed incrementally: the total square is split once per term,
+    # and its truncation to orders 0..k is the sum of the pieces so far.
+    g = QuadricGeometry(D)
+    for r in (1, 2, 3):
+        none = zero(g, r)
+        for be in enumerate_basis(g, r):
+            x = single(g, *be.factors)
+            pieces, truncated = homogeneous_components(steenrod_total(x)), none
+            for k in range(-1, r * D + 2):
+                piece = pieces.get(x.dimension - k, none)
+                truncated += piece
+                assert steenrod_k(x, k) == piece, (be.factors, k)
+                assert steenrod_upto(x, k) == truncated, (be.factors, k)
+
+
+def test_graded_orders_out_of_range_give_zero():
+    for D in (0, 1, 6, 9):
+        g = QuadricGeometry(D)
+        for r in (1, 2, 3):
+            for be in enumerate_basis(g, r):
+                x = single(g, *be.factors)
+                for k in (-1, -2, -(r * D) - 3):
+                    assert steenrod_k(x, k) == zero(g, r)
+                    assert steenrod_upto(x, k) == zero(g, r)
+                for k in (r * D + 1, r * D + 2, 10 * r * D + 5):
+                    assert steenrod_k(x, k) == zero(g, r)
+                assert steenrod_upto(x, r * D + 1) == steenrod_total(x)
+
+
+def test_graded_on_sums_cancels_mod_2():
+    g = QuadricGeometry(8)
+    # S^1(h1 x h2) and S^1(h2 x h1) are both h2 x h2, as S^1(h2) = C(2, 1) h3 = 0
+    x = single(g, h(1), h(2))
+    both = x + permute(x, (1, 0))
+    assert steenrod_k(x, 1) == single(g, h(2), h(2))
+    assert steenrod_k(both, 1).is_zero
+    assert steenrod_upto(both, 1) == both
+    mu0 = build_mu_zero(HoleParams(4, 3, 1))
+    for k in range(-1, 8):
+        assert steenrod_k(mu0, k) == steenrod_k_oracle(mu0, k), k
+        assert steenrod_upto(mu0, k) == steenrod_upto_oracle(mu0, k), k
 
 
 def test_ring_homomorphism_exhaustive():
