@@ -62,6 +62,7 @@ from .isotropy import (
     generic_point_pullback,
     in_multi,
     in_single,
+    pr_all,
     pr_multi,
     pr_single,
 )

@@ -7,7 +7,9 @@ multi-index maps are indexed by signatures (i_1, ..., i_r) with each
 i_j in [0, a] or [D-a+1, D]: positions with i_j = a are projected
 factorwise, positions with i_j < a require the factor l_(i_j), and
 positions with i_j > a require h^(D-i_j); mismatches send a term to 0.
-The direct sum of all projections is an isomorphism.
+The direct sum of all projections is an isomorphism: each term has exactly
+one signature with a non-zero image.  pr_all is the home of that routing,
+and pr_multi keeps the terms routed to its own signature.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .basis import (
     GeometryError,
     QuadricGeometry,
     Term,
-    cycle,
     h,
 )
 
@@ -88,24 +89,30 @@ def _slots(sig: IsotropySignature, tables) -> list[BasisFactor | None]:
     ]
 
 
+def pr_all(alpha: Cycle, a: int) -> dict[tuple[int, ...], Cycle]:
+    """Every non-zero projection of alpha, keyed by signature indices, in one pass.
+
+    A factor of index >= a is projected: index a, shifted down by a.  Below a,
+    l_i takes index i and h^k takes index D - k.  So each term has one key.
+    """
+    D = alpha.geometry.D
+    inner = IsotropySignature(a, D, ()).inner_geometry
+    down = [None] * (2 * a) + inner.tables.factors  # code -> index shifted down by a
+    index = [a if f >= 2 * a else f >> 1 if f & 1 else D - (f >> 1) for f in range(len(down))]
+    parts: dict[tuple[int, ...], set[Term]] = {}
+    for term in alpha.terms:
+        key = tuple(map(index.__getitem__, term))
+        parts.setdefault(key, set()).add(tuple(down[f] for f in term if f >= 2 * a))
+    return {key: Cycle(inner, key.count(a), frozenset(images)) for key, images in parts.items()}
+
+
 def pr_multi(alpha: Cycle, sig: IsotropySignature) -> Cycle:
     """Projection onto the motivic summand named by the signature."""
     if alpha.geometry.D != sig.D:
         raise GeometryError("signature built for a different geometry")
     if alpha.arity != sig.arity:
         raise ArityError(f"signature arity {sig.arity} != cycle arity {alpha.arity}")
-    inner = sig.inner_geometry
-    down = [None] * (2 * sig.a) + inner.tables.factors  # code -> index shifted down by a
-    slots = _slots(sig, alpha.geometry.tables)
-    shifted = [j for j, f in enumerate(slots) if f is None]
-    fixed = [(j, f) for j, f in enumerate(slots) if f is not None]
-    images = []
-    for term in alpha.terms:
-        if all(term[j] == f for j, f in fixed):
-            out = tuple(down[term[j]] for j in shifted)
-            if None not in out:
-                images.append(out)
-    return cycle(inner, sig.s, images)
+    return pr_all(alpha, sig.a).get(sig.indices, Cycle(sig.inner_geometry, sig.s))
 
 
 def in_multi(beta: Cycle, sig: IsotropySignature) -> Cycle:
@@ -147,6 +154,7 @@ __all__ = [
     "generic_point_pullback",
     "in_multi",
     "in_single",
+    "pr_all",
     "pr_multi",
     "pr_single",
 ]

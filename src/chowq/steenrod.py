@@ -25,35 +25,34 @@ def steenrod_total(alpha: Cycle) -> Cycle:
     return cycle(alpha.geometry, alpha.arity, terms)
 
 
-def _compositions(alpha: Cycle, k: int) -> list[tuple[Term, int]]:
-    """Each nonzero S^(k_1)(f_1) x ... x S^(k_r)(f_r) of a term, sum k_i <= k, and k - sum k_i."""
+def _compositions(alpha: Cycle, k: int, exact: bool) -> list[Term]:
+    """Each nonzero S^(k_1)(f_1) x ... x S^(k_r)(f_r) of a term, sum k_i = k if exact, else <= k."""
     if not alpha.is_homogeneous:
         raise ValueError("graded Steenrod operation needs a homogeneous input")
     rows = alpha.geometry.tables.squares
     out = []
     for term in alpha.terms:
         walk = [((), k)] if k >= 0 else []  # (prefix, order left); a slot spends j of it
-        for f in term:
+        for i, f in enumerate(term):
+            row, last = rows[f], exact and i == len(term) - 1  # an exact last slot spends all
             walk = [
-                (prefix + (g,), left - j)
+                (prefix + (row[j],), left - j)
                 for prefix, left in walk
-                for j, g in enumerate(rows[f][: left + 1])
-                if g is not None
+                for j in range(left if last else 0, min(left + 1, len(row)))
+                if row[j] is not None
             ]
-        out += walk
+        out += [prefix for prefix, left in walk if not (exact and left)]
     return out
 
 
 def steenrod_k(alpha: Cycle, k: int) -> Cycle:
     """Codimension +k homogeneous piece of the total operation (input homogeneous)."""
-    terms = [prefix for prefix, left in _compositions(alpha, k) if not left]
-    return cycle(alpha.geometry, alpha.arity, terms)
+    return cycle(alpha.geometry, alpha.arity, _compositions(alpha, k, exact=True))
 
 
 def steenrod_upto(alpha: Cycle, k_max: int) -> Cycle:
     """Sum of the graded operations of orders 0..k_max (input homogeneous)."""
-    terms = [prefix for prefix, _ in _compositions(alpha, k_max)]
-    return cycle(alpha.geometry, alpha.arity, terms)
+    return cycle(alpha.geometry, alpha.arity, _compositions(alpha, k_max, exact=False))
 
 
 __all__ = ["binom_mod2", "steenrod_factor", "steenrod_k", "steenrod_total", "steenrod_upto"]

@@ -42,7 +42,7 @@ from .correspondence import (
     pushforward_projection,
 )
 from .gf2 import Gf2Subspace
-from .isotropy import all_signatures, pr_multi
+from .isotropy import pr_all
 from .ring import (
     essential_part,
     homogeneous_components,
@@ -609,6 +609,8 @@ def check_all(
     inner_family: RationalFamily | None = None,
 ) -> dict[str, CheckResult]:
     """Close the family and run every applicable checker."""
+    if inner_family is not None and family.splitting is None:
+        raise FamilyError("the supplement check needs splitting data")
     fam = family if family.closed else closure(family)
     report: dict[str, CheckResult] = {}
     report["springer"] = check_springer(fam)
@@ -635,23 +637,23 @@ def check_all(
     elif fam.max_arity >= 2:
         report["minimal_diagonal"] = check_minimal_diagonal(fam)
 
-    if inner_family is not None and split is not None:
+    if inner_family is not None:
         inner = inner_family if inner_family.closed else closure(inner_family)
         a = split.witt_indices[0]
         if inner.geometry.D != fam.geometry.D - 2 * a:
             raise FamilyError(
                 "inner family geometry does not match the first Witt index"
             )
-        bad: list = []
-        for r in range(1, fam.max_arity + 1):
-            members = fam.members(r)
-            for sig in all_signatures(fam.geometry, a, r):
-                if not 1 <= sig.s <= inner.max_arity:
-                    continue
-                for member in members:
-                    image = pr_multi(member, sig)
-                    if not image.is_zero and not inner.contains(image):
-                        bad.append((sig.indices, r))
+        # Each term of a member has one signature, so pr_all visits a member once;
+        # sorting restores the signature-major order of the witnesses.
+        hits = sorted(
+            (r, key, m)
+            for r in range(1, fam.max_arity + 1)
+            for m, member in enumerate(fam.members(r))
+            for key, image in pr_all(member, a).items()
+            if 1 <= image.arity <= inner.max_arity and not inner.contains(image)
+        )
+        bad = [(key, r) for r, key, _ in hits]
         report["supplement"] = CheckResult("supplement", not bad, tuple(bad))
     return report
 

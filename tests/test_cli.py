@@ -147,6 +147,16 @@ def test_check_fails_on_point(tmp_path, capsys):
     assert "springer: FAIL" in out
 
 
+def test_check_inner_family_needs_splitting(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"D": 8, "max_arity": 2, "generators": ["h0 x l4 + l4 x h0"]}))
+    inner = tmp_path / "inner.json"
+    inner.write_text(json.dumps({"D": 2, "max_arity": 2, "generators": ["h0 x l1 + l1 x h0"]}))
+    code, out, err = run(capsys, "check", str(family), str(inner))
+    assert code == 1 and out == ""
+    assert "the supplement check needs splitting data" in err
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
     assert code == 1 and "error" in err

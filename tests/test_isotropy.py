@@ -1,8 +1,19 @@
 """Tests for the projection/inclusion maps and the direct-sum decomposition."""
 
+import random
+
 import pytest
 
-from chowq.basis import ArityError, GeometryError, QuadricGeometry, enumerate_basis, h, l, single
+from chowq.basis import (
+    ArityError,
+    GeometryError,
+    QuadricGeometry,
+    cycle,
+    enumerate_basis,
+    h,
+    l,
+    single,
+)
 from chowq.gf2 import Gf2Subspace
 from chowq.isotropy import (
     IsotropySignature,
@@ -11,6 +22,7 @@ from chowq.isotropy import (
     generic_point_pullback,
     in_multi,
     in_single,
+    pr_all,
     pr_multi,
     pr_single,
 )
@@ -131,3 +143,103 @@ def test_descend():
     assert descend(single(g, h(0), h(3), l(3)), 2) == single(QuadricGeometry(4), h(1), l(1))
     assert descend(single(g, h(0), h(2), l(2)), 2) == single(QuadricGeometry(4), h(0), l(0))
     assert descend(single(g, h(1), h(3), l(3)), 2).is_zero
+
+
+# ---------------------------------------------------------------------------
+# pr_all: every signature at once
+
+
+def oracle_pairs(alpha, sig):
+    """(term, image) for each term the per-signature projection, as it was written
+    before pr_all, sends to a non-zero image."""
+    inner = sig.inner_geometry
+    tables = alpha.geometry.tables
+    down = [None] * (2 * sig.a) + inner.tables.factors
+    slots = [
+        None if i == sig.a else tables.l[i] if i < sig.a else tables.h[sig.D - i]
+        for i in sig.indices
+    ]
+    shifted = [j for j, f in enumerate(slots) if f is None]
+    fixed = [(j, f) for j, f in enumerate(slots) if f is not None]
+    pairs = []
+    for term in alpha.terms:
+        if all(term[j] == f for j, f in fixed):
+            out = tuple(down[term[j]] for j in shifted)
+            if None not in out:
+                pairs.append((term, out))
+    return pairs
+
+
+def pr_multi_oracle(alpha, sig):
+    return cycle(sig.inner_geometry, sig.s, [out for _, out in oracle_pairs(alpha, sig)])
+
+
+def oracle_components(c, a):
+    """{signature indices: image} over the non-zero images of the per-signature oracle."""
+    images = {sig.indices: pr_multi_oracle(c, sig) for sig in all_signatures(c.geometry, a, c.arity)}
+    return {key: img for key, img in images.items() if not img.is_zero}
+
+
+def cases():
+    """(geometry, a, r) for D <= 8, every a with 2a <= D, arity <= 3."""
+    for D in range(2, 9):
+        g = QuadricGeometry(D)
+        for a in range(1, D // 2 + 1):
+            for r in (1, 2, 3):
+                yield g, a, r
+
+
+def test_pr_all_matches_oracle_on_basis_terms():
+    for g, a, r in cases():
+        everything = cycle(g, r, [be.factors for be in enumerate_basis(g, r)])
+        want = {term: {} for term in everything.terms}
+        for sig in all_signatures(g, a, r):  # the oracle on each term, one signature at a time
+            for term, out in oracle_pairs(everything, sig):
+                want[term][sig.indices] = cycle(sig.inner_geometry, sig.s, [out])
+        for term, images in want.items():
+            got = pr_all(single(g, *term), a)
+            assert len(got) == 1  # each term lies in exactly one summand
+            assert got == images
+
+
+def test_pr_all_matches_oracle_on_random_sums():
+    rng = random.Random(20261018)
+    for g, a, r in cases():
+        basis = [be.factors for be in enumerate_basis(g, r)]
+        for _ in range(3):
+            c = cycle(g, r, rng.sample(basis, rng.randint(0, min(len(basis), 12))))
+            got = pr_all(c, a)
+            assert got == oracle_components(c, a)
+            for key, img in got.items():
+                assert pr_multi(c, IsotropySignature(a, g.D, key)) == img
+
+
+def test_pr_all_components_rebuild_the_input():
+    rng = random.Random(8)
+    for g, a, r in cases():
+        basis = [be.factors for be in enumerate_basis(g, r)]
+        for c in (cycle(g, r, basis), cycle(g, r, rng.sample(basis, len(basis) // 2))):
+            total = cycle(g, r)
+            for key, img in pr_all(c, a).items():
+                total = total + in_multi(img, IsotropySignature(a, g.D, key))
+            assert total == c
+
+
+def test_pr_all_keeps_s_zero_keys():
+    g = QuadricGeometry(8)
+    got = pr_all(single(g, l(1), h(0)), 2)
+    assert got == {(1, 8): cycle(QuadricGeometry(4), 0, [()])}
+
+
+def test_pr_all_and_pr_multi_guards():
+    g = QuadricGeometry(4)
+    c = single(g, h(0), l(2))
+    assert pr_all(cycle(g, 2), 1) == {}
+    with pytest.raises(ValueError):
+        pr_all(c, 0)
+    with pytest.raises(GeometryError):
+        pr_all(c, 3)
+    with pytest.raises(GeometryError):
+        pr_multi(c, IsotropySignature(1, 6, (1, 1)))
+    with pytest.raises(ArityError):
+        pr_multi(c, IsotropySignature(1, 4, (1,)))

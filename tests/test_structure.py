@@ -362,6 +362,46 @@ def test_check_all_supplement():
         check_all(fam, RationalFamily(QuadricGeometry(4), 2))
 
 
+def supplement_oracle(fam, inner):
+    """The supplement witnesses as the signature-outer, member-inner loop lists them."""
+    a = fam.splitting.witt_indices[0]
+    bad = []
+    for r in range(1, fam.max_arity + 1):
+        members = fam.members(r)
+        for sig in all_signatures(fam.geometry, a, r):
+            if not 1 <= sig.s <= inner.max_arity:
+                continue
+            for member in members:
+                image = pr_multi(member, sig)
+                if not image.is_zero and not inner.contains(image):
+                    bad.append((sig.indices, r))
+    return tuple(bad)
+
+
+@pytest.mark.parametrize(
+    "D, a, splitting, max_arity, count",
+    [(6, 2, (2, 2), 3, 51), (14, 4, (4, 4), 2, 15), (10, 2, (2, 2, 2), 2, 7)],
+)
+def test_supplement_witnesses_match_the_loop_over_signatures(D, a, splitting, max_arity, count):
+    g, inner_g = QuadricGeometry(D), QuadricGeometry(D - 2 * a)
+    fam = closure(
+        family_from_generators(g, max_arity, [known_generator(g, a)], SplittingData(splitting))
+    )
+    for gens in ([], [known_generator(inner_g, 1)]):
+        inner = closure(family_from_generators(inner_g, 2, gens))
+        report = check_all(fam, inner)["supplement"]
+        assert report.witnesses == supplement_oracle(fam, inner)
+        assert not report.passed and len(report.witnesses) == count
+
+
+def test_supplement_needs_splitting_data():
+    fam = family_from_generators(QuadricGeometry(8), 2, [known_generator(QuadricGeometry(8), 1)])
+    inner = RationalFamily(QuadricGeometry(2), 2)
+    with pytest.raises(FamilyError, match="the supplement check needs splitting data"):
+        check_all(fam, inner)
+    assert "supplement" not in check_all(fam)
+
+
 def test_check_all_flags_corruption():
     g = QuadricGeometry(6)
     corrupted = known_generator(g, 2) + sym(single(g, h(1), l(2)))
