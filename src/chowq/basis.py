@@ -56,7 +56,7 @@ class BasisFactor(int):
     def __new__(cls, kind: str, index: int) -> "BasisFactor":
         if kind not in ("h", "l"):
             raise ValueError(f"unknown factor kind {kind!r}")
-        if not isinstance(index, int) or index < 0:
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
             raise GeometryError(f"factor index {index!r} is not a non-negative integer")
         code = 2 * index + (kind == "l")
         f = _INTERNED.get(code)

@@ -2,16 +2,19 @@
 
 A RationalFamily holds, for each arity up to a bound, a GF(2) subspace of
 cycles presumed to come from the base field.  The closure operator adds
-everything forced by rationality: non-essential elements, products,
-homogeneous components, adjacent transpositions (which generate all
-permutations), first-position projection/diagonal pull-backs and
-push-forwards, and the total Steenrod operation.  A closed group is graded,
-and the reduced echelon basis of a graded subspace is the union of the
-unique bases of its pieces, so every row is homogeneous.  The checkers then
-test the structural constraints a genuine family must satisfy (point-degree
-parity, binary-size, shell-triangle symmetries, minimal/primordial
-decomposition, small-quadric shape, descent); those on one cycle take such
-a row: the zero cycle passes and an inhomogeneous one raises ValueError.
+everything forced by rationality: the h-monomials, the diagonal class (fed
+once), products, homogeneous components and four operations: adjacent
+transpositions (which generate all permutations), the total Steenrod
+operation and the first-projection pull-back and push-forward.  The diagonal
+maps are products with the diagonal followed by these, and the operations
+send h-monomials to h-monomials or zero, so neither needs a pass of its own.
+A closed group is graded, and the reduced echelon basis of a graded subspace
+is the union of the unique bases of its pieces, so every row is homogeneous.
+The checkers then test the structural constraints a genuine family must
+satisfy (point-degree parity, binary-size, shell-triangle symmetries,
+minimal/primordial decomposition, small-quadric shape, descent); those on
+one cycle take such a row: the zero cycle passes and an inhomogeneous one
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ from .basis import (
 from .correspondence import (
     derivative,
     diagonal_class,
-    pullback_diagonal,
     pullback_projection,
-    pushforward_diagonal,
     pushforward_projection,
 )
 from .gf2 import Gf2Subspace
@@ -175,17 +176,21 @@ def closure(family: RationalFamily) -> RationalFamily:
 
     The operations are linear and the product bilinear, so a worklist of the
     vectors that grew a group suffices.  It holds homogeneous vectors only: the
-    input and each total Steenrod image enter as their homogeneous components.
-    A vector of arity r goes once through the unary operations, among them the
-    r-1 adjacent transpositions, which generate every permutation.  It is
-    multiplied by the slot generators h^0 x .. x h^1 x .. x h^0, whose products
-    give every h-monomial seed, by itself and by the earlier vectors, skipping
-    the pairs of dimensions adding up to less than r*D: such a product vanishes.
+    input and each total Steenrod image enter as their homogeneous components,
+    and the diagonal class enters once when the arity bound is at least 2.  A
+    vector of arity r goes once through the r-1 adjacent transpositions (which
+    generate every permutation), the total Steenrod operation and the
+    first-projection pull-back and push-forward, and is multiplied by the slot
+    generators h^0 x .. x h^1 x .. x h^0, by itself and by the earlier vectors,
+    skipping the pairs of dimensions adding up to less than r*D (such a product
+    vanishes).  The h-monomials enter unqueued: these operations send them to
+    h-monomials or zero.  With E = diagonal x h^0 x .. x h^0, the projection
+    formula makes the diagonal push-forward of c transpose(h^0 x c, 0, 1) * E
+    and its pull-back the projection push-forward of c * E: no pass needed.
     """
     geometry, top = family.geometry, family.max_arity
     fam = RationalFamily(geometry, top, splitting=family.splitting)
     queue: deque[Cycle] = deque()
-    seeds: list[Cycle] = []
     earlier: dict[int, list[tuple[int, Cycle]]] = {r: [] for r in range(1, top + 1)}
 
     def feed(c: Cycle) -> None:
@@ -196,32 +201,26 @@ def closure(family: RationalFamily) -> RationalFamily:
         for piece in homogeneous_components(c).values():
             feed(piece)
 
-    def unary(c: Cycle) -> None:
-        for i in range(c.arity - 1):
-            feed(transpose(c, i, i + 1))
-        feed_components(steenrod_total(c))
-        if c.arity < top:
-            feed(pullback_projection(c))
-            feed(pushforward_diagonal(c))
-        if c.arity >= 2:
-            feed(pushforward_projection(c))
-            feed(pullback_diagonal(c))
-
     for r in range(1, top + 1):
         for t in itertools.product(geometry.tables.h, repeat=r):
             seed = single(geometry, *t)
             fam.groups[r].add(encode_cycle(seed))
-            seeds.append(seed)
             if seed.codimension == 1:  # h^1 in one slot: a slot generator
                 earlier[r].append((seed.dimension, seed))
         for c in family.members(r):
             feed_components(c)
-    for seed in seeds:
-        unary(seed)
+    if top >= 2:
+        feed(diagonal_class(geometry))
     while queue:
         c = queue.popleft()
-        unary(c)
         r, dim = c.arity, c.dimension
+        for i in range(r - 1):
+            feed(transpose(c, i, i + 1))
+        feed_components(steenrod_total(c))
+        if r < top:
+            feed(pullback_projection(c))
+        if r >= 2:
+            feed(pushforward_projection(c))
         earlier[r].append((dim, c))
         for e_dim, e in earlier[r]:
             if dim + e_dim >= r * geometry.D:
@@ -609,8 +608,11 @@ def check_all(
     inner_family: RationalFamily | None = None,
 ) -> dict[str, CheckResult]:
     """Close the family and run every applicable checker."""
-    if inner_family is not None and family.splitting is None:
-        raise FamilyError("the supplement check needs splitting data")
+    if inner_family is not None:
+        if family.splitting is None:
+            raise FamilyError("the supplement check needs splitting data")
+        if inner_family.geometry.D != family.geometry.D - 2 * family.splitting.witt_indices[0]:
+            raise FamilyError("inner family geometry does not match the first Witt index")
     fam = family if family.closed else closure(family)
     report: dict[str, CheckResult] = {}
     report["springer"] = check_springer(fam)
@@ -640,10 +642,6 @@ def check_all(
     if inner_family is not None:
         inner = inner_family if inner_family.closed else closure(inner_family)
         a = split.witt_indices[0]
-        if inner.geometry.D != fam.geometry.D - 2 * a:
-            raise FamilyError(
-                "inner family geometry does not match the first Witt index"
-            )
         # Each term of a member has one signature, so pr_all visits a member once;
         # sorting restores the signature-major order of the witnesses.
         hits = sorted(

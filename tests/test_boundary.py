@@ -98,6 +98,11 @@ def test_public_constructors_reject_bad_input():
         Cycle(g, 2, frozenset({(h(0), l(4))}))
     with pytest.raises(GeometryError):
         cycle_from_json({"D": 6, "r": 1, "terms": [[["l", 9]]]})
+    for flag in (True, False):  # bool is an int subclass, but no factor index
+        with pytest.raises(GeometryError):
+            BasisFactor("l", flag)
+        with pytest.raises(GeometryError):
+            cycle_from_json({"D": 6, "r": 1, "terms": [[["l", flag]]]})
     with pytest.raises(ArityError):
         Cycle(g, 2, frozenset({(h(0), l(1)), (h(0),)}))
     with pytest.raises(TypeError):

@@ -157,6 +157,15 @@ def test_check_inner_family_needs_splitting(tmp_path, capsys):
     assert "the supplement check needs splitting data" in err
 
 
+def test_check_rejects_boolean_factor_indices(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    gen = {"D": 6, "r": 2, "terms": [[["h", False], ["l", True]], [["l", True], ["h", False]]]}
+    family.write_text(json.dumps({"D": 6, "max_arity": 2, "generators": [gen]}))
+    code, out, err = run(capsys, "check", str(family))
+    assert code == 1 and out == ""
+    assert "is not a non-negative integer" in err
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
     assert code == 1 and "error" in err

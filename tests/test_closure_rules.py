@@ -1,4 +1,4 @@
-"""The three facts the worklist closure rests on, checked on every basis term.
+"""The facts the worklist closure rests on, checked on every basis term.
 
 - A product of homogeneous cycles has dimension dim a + dim b - r*D, so it
   vanishes when the dimensions add up to less than r*D.
@@ -7,20 +7,25 @@
   homogeneous vectors spans a space closed under taking components.
 - Every h-monomial is a product of the slot generators h^0 x .. x h^1 x .. x h^0,
   so closing under products with the generators closes under every seed.
+- The diagonal maps are products with E = diagonal x h^0 x .. x h^0 followed
+  by first-projection maps (the projection formula), so feeding the diagonal
+  once spans their images.
 """
 
 import itertools
 
 import pytest
 
-from chowq.basis import QuadricGeometry, enumerate_basis, h, single
+from chowq.basis import Cycle, QuadricGeometry, enumerate_basis, h, single
 from chowq.correspondence import (
+    diagonal_class,
     pullback_diagonal,
     pullback_projection,
     pushforward_diagonal,
     pushforward_projection,
 )
-from chowq.ring import mul, permute, unit
+from chowq.ring import mul, permute, transpose, unit
+from chowq.structure import RationalFamily, closure
 
 CASES = [(D, r) for D in range(0, 7) for r in range(1, 4)]
 
@@ -69,3 +74,30 @@ def test_h_monomials_are_products_of_slot_generators(D, r):
     top = single(g, *[h(g.d)] * r)
     for gen in generators:  # one more h in a slot already at h^d vanishes
         assert mul(top, gen).is_zero
+
+
+def diagonal_lift(g, r):
+    """E = diagonal x h^0 x .. x h^0 in arity r >= 2."""
+    pad = (h(0),) * (r - 2)
+    return Cycle(g, r, frozenset(t + pad for t in diagonal_class(g).terms))
+
+
+@pytest.mark.parametrize("D, r", [(D, r) for D in range(0, 9) for r in range(1, 4)])
+def test_diagonal_maps_are_products_with_the_diagonal(D, r):
+    g = QuadricGeometry(D)
+    up = diagonal_lift(g, r + 1)
+    down = diagonal_lift(g, r) if r >= 2 else None
+    for _, c in basis_cycles(g, r):
+        assert pushforward_diagonal(c) == mul(transpose(pullback_projection(c), 0, 1), up), c
+        if down is not None:
+            assert pullback_diagonal(c) == pushforward_projection(mul(c, down)), c
+
+
+@pytest.mark.parametrize("D", range(0, 7))
+@pytest.mark.parametrize("top", [2, 3])
+def test_closure_of_nothing_holds_the_diagonal_and_its_lifts(D, top):
+    g = QuadricGeometry(D)
+    fam = closure(RationalFamily(g, top))
+    for r in range(2, top + 1):
+        for sigma in itertools.permutations(range(r)):
+            assert fam.contains(permute(diagonal_lift(g, r), sigma)), (r, sigma)

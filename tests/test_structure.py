@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from chowq import structure
 from chowq.basis import QuadricGeometry, enumerate_basis, h, l, single
 from chowq.correspondence import diagonal_class
 from chowq.gf2 import Gf2Subspace
@@ -400,6 +401,19 @@ def test_supplement_needs_splitting_data():
     with pytest.raises(FamilyError, match="the supplement check needs splitting data"):
         check_all(fam, inner)
     assert "supplement" not in check_all(fam)
+
+
+def test_inner_geometry_is_checked_before_closing(monkeypatch):
+    g = QuadricGeometry(10)
+    fam = family_from_generators(g, 3, [known_generator(g, 2)], SplittingData((2, 2, 2)))
+
+    def no_closure(family):
+        raise AssertionError("closure ran before the inner geometry was checked")
+
+    monkeypatch.setattr(structure, "closure", no_closure)
+    inner = RationalFamily(QuadricGeometry(4), 2)
+    with pytest.raises(FamilyError, match="does not match the first Witt index"):
+        check_all(fam, inner)
 
 
 def test_check_all_flags_corruption():
