@@ -192,8 +192,8 @@ class QuadricGeometry:
     D: int
 
     def __post_init__(self) -> None:
-        if self.D < 0:
-            raise GeometryError(f"quadric dimension must be non-negative, got {self.D}")
+        if type(self.D) is not int or self.D < 0:
+            raise GeometryError(f"quadric dimension must be a non-negative integer, got {self.D!r}")
 
     @property
     def d(self) -> int:
@@ -275,8 +275,8 @@ class Cycle:
     terms: frozenset[Term] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ArityError(f"arity must be non-negative, got {self.arity}")
+        if type(self.arity) is not int or self.arity < 0:
+            raise ArityError(f"arity must be a non-negative integer, got {self.arity!r}")
         terms = self.terms
         if not terms or (
             set(map(len, terms)) <= {self.arity}

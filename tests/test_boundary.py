@@ -103,6 +103,15 @@ def test_public_constructors_reject_bad_input():
             BasisFactor("l", flag)
         with pytest.raises(GeometryError):
             cycle_from_json({"D": 6, "r": 1, "terms": [[["l", flag]]]})
+    for bad in (True, False, 6.0, "6"):  # D and the arity are ints too, and no bool
+        with pytest.raises(GeometryError, match="non-negative integer"):
+            QuadricGeometry(bad)
+        with pytest.raises(GeometryError, match="non-negative integer"):
+            cycle_from_json({"D": bad, "r": 1, "terms": [[["l", 1]]]})
+        with pytest.raises(ArityError, match="non-negative integer"):
+            Cycle(g, bad)
+        with pytest.raises(ArityError, match="non-negative integer"):
+            cycle_from_json({"D": 6, "r": bad, "terms": [[["l", 1]]]})
     with pytest.raises(ArityError):
         Cycle(g, 2, frozenset({(h(0), l(1)), (h(0),)}))
     with pytest.raises(TypeError):

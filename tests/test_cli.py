@@ -166,6 +166,17 @@ def test_check_rejects_boolean_factor_indices(tmp_path, capsys):
     assert "is not a non-negative integer" in err
 
 
+@pytest.mark.parametrize("field, value", [("D", True), ("D", 6.0), ("r", True), ("r", 2.0)])
+def test_check_rejects_non_integer_dimension_and_arity(tmp_path, capsys, field, value):
+    gen = {"D": 6, "r": 2, "terms": [[["h", 0], ["l", 1]], [["l", 1], ["h", 0]]]}
+    gen[field] = value
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"D": 6, "max_arity": 2, "generators": [gen]}))
+    code, out, err = run(capsys, "check", str(family))
+    assert code == 1 and out == ""
+    assert "must be a non-negative integer" in err
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
     assert code == 1 and "error" in err

@@ -202,6 +202,33 @@ def test_verify_both_methods(nmp):
     assert brute["target"] == bilinear["target"]
 
 
+J4_PARAMS = [
+    (4, 3, 1), (5, 3, 1), (5, 4, 2), (6, 3, 1), (6, 4, 2),
+    (6, 5, 3), (7, 3, 1), (7, 4, 2), (7, 5, 3), (7, 6, 4),
+]
+
+
+def _mutated_generators(params):
+    gens = mu_prime_generators(params)
+    chi = gens[3]  # chi_2 on the first slot, less one term
+    gens[3] = chi + single(params.geometry, *chi.sorted_terms()[0])
+    return gens
+
+
+@pytest.mark.parametrize("nmp", J4_PARAMS)
+def test_brute_and_bilinear_agree_on_every_J4_triple(nmp, monkeypatch):
+    p = HoleParams(*nmp)
+    assert p.j_count == 4 and p.D <= 248
+    for method in ("brute", "bilinear"):
+        cert = verify_contradiction(p, method=method)
+        assert cert["passed"] and cert["failures"] == [] and cert["cases"] == 4096
+    monkeypatch.setattr(holes, "mu_prime_generators", _mutated_generators)
+    brute = verify_contradiction(p, method="brute")
+    bilinear = verify_contradiction(p, method="bilinear")
+    assert brute["passed"] is False and bilinear["passed"] is False
+    assert brute["failures"] == [case for case in range(4096) if case >> 3 & 1]
+
+
 @pytest.mark.parametrize("nmp", [(7, 6, 1), (7, 3, 1), (9, 3, 1)])
 def test_inner_parts_match_total_square_oracle(nmp):
     p = HoleParams(*nmp)
@@ -247,13 +274,7 @@ def pool_sizes(monkeypatch):
 
 
 def test_verify_brute_merges_failures(monkeypatch, pool_sizes):
-    def mutated(params):
-        gens = mu_prime_generators(params)
-        chi = gens[3]  # chi_2 on the first slot, less one term
-        gens[3] = chi + single(params.geometry, *chi.sorted_terms()[0])
-        return gens
-
-    monkeypatch.setattr(holes, "mu_prime_generators", mutated)
+    monkeypatch.setattr(holes, "mu_prime_generators", _mutated_generators)
     certs = [
         verify_contradiction(HoleParams(4, 3, 1), method="brute", jobs=jobs)
         for jobs in (1, 2, 3)

@@ -2,8 +2,9 @@
 
 The per-geometry tables are checked against the rule-based definitions the
 kernel used before it was table-driven; those rules live only here now.  The
-brute certifier's hoisted xi (precomputed S_2a(x) * weight parts, summed per
-selection) is checked against the public build_xi.
+brute certifier's walk over the defect selections (xi updated from a table
+of per-part blocks, one flipped part at a time) is checked case by case
+against the public build_xi.
 """
 
 import random
@@ -13,8 +14,9 @@ import pytest
 from chowq.basis import QuadricGeometry, h, l, single
 from chowq.holes import (
     HoleParams,
+    _blocks,
     _inner_parts,
-    _xi_from_parts,
+    _xi_cases,
     build_mu_zero,
     build_xi,
     mu_prime_generators,
@@ -95,12 +97,12 @@ def test_tables_are_shared_per_dimension():
 
 
 # ---------------------------------------------------------------------------
-# the brute certifier's hoisted xi
+# the brute certifier's walk over the defect selections
 
 
 def _parts(params, gens):
     parts = [build_mu_zero(params)] + gens
-    return parts, _inner_parts(params, parts)
+    return parts, _blocks(parts, _inner_parts(params, parts))
 
 
 def _mu(parts, selection):
@@ -113,12 +115,19 @@ def _mu(parts, selection):
 
 @pytest.mark.parametrize("nmp", [(4, 3, 1), (5, 4, 2)])
 def test_hoisted_xi_matches_build_xi(nmp):
+    """Every selection at (4,3,1), 64 seeded ones at (5,4,2); each from 0 and mid-way."""
     params = HoleParams(*nmp)
-    parts, inners = _parts(params, mu_prime_generators(params))
+    parts, blocks = _parts(params, mu_prime_generators(params))
+    n_cases = 1 << (len(parts) - 1)
     rng = random.Random(2004)
-    for selection in rng.sample(range(1 << (len(parts) - 1)), 64):
-        want = build_xi(_mu(parts, selection), params)
-        assert _xi_from_parts(parts, inners, selection, params) == want, selection
+    for lo, hi in ((0, n_cases), (1000, 2500)):
+        picked = range(lo, hi) if nmp == (4, 3, 1) else sorted(rng.sample(range(lo, hi), 64))
+        seen = []
+        for case, xi in _xi_cases(blocks, lo, hi):
+            if case in picked:
+                assert xi == build_xi(_mu(parts, case), params).terms, case
+                seen.append(case)
+        assert seen == list(picked)
 
 
 def test_mutated_generators_fail_on_the_cases_build_xi_finds():
@@ -126,10 +135,10 @@ def test_mutated_generators_fail_on_the_cases_build_xi_finds():
     gens = mu_prime_generators(params)
     chi = gens[3]  # chi_2 on the first slot
     gens[3] = chi + single(params.geometry, *chi.sorted_terms()[0])
-    parts, inners = _parts(params, gens)
+    parts, blocks = _parts(params, gens)
     target = target_cell(params)
     cases = range(1 << len(gens))
-    hoisted = {c for c in cases if target not in _xi_from_parts(parts, inners, c, params)}
+    walked = {c for c, xi in _xi_cases(blocks, 0, len(cases)) if target not in xi}
     direct = {c for c in cases if target not in build_xi(_mu(parts, c), params)}
-    assert hoisted == direct
-    assert hoisted
+    assert walked == direct
+    assert walked
