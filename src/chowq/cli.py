@@ -206,8 +206,7 @@ def _cmd_diagram(args) -> int:
 def _load_family(path: str) -> RationalFamily:
     with open(path) as fh:
         data = json.load(fh)
-    g = QuadricGeometry(int(data["D"]))
-    max_arity = int(data["max_arity"])
+    g = QuadricGeometry(data["D"])
     gens = []
     for item in data["generators"]:
         if isinstance(item, str):
@@ -219,17 +218,15 @@ def _load_family(path: str) -> RationalFamily:
             gens.append(cycle_from_json(item))
     splitting = None
     if data.get("splitting"):
-        splitting = SplittingData(
-            tuple(int(v) for v in data["splitting"]), data.get("dim_form")
-        )
-    return family_from_generators(g, max_arity, gens, splitting)
+        splitting = SplittingData(tuple(data["splitting"]), data.get("dim_form"))
+    return family_from_generators(g, data["max_arity"], gens, splitting)
 
 
 def _cmd_check(args) -> int:
     try:
         fam = _load_family(args.family)
         inner = _load_family(args.inner) if args.inner else None
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # TypeError: JSON of the wrong shape
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     results = list(check_all(fam, inner).values())

@@ -7,12 +7,13 @@ FactorTables for the rules); higher arities multiply factorwise.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .basis import (
     ArityError,
     BasisFactor,
     Cycle,
+    FactorTables,
     GeometryError,
     QuadricGeometry,
     Term,
@@ -23,6 +24,19 @@ from .basis import (
 
 
 _NONZERO = frozenset({None}).isdisjoint
+
+
+def _term_products(
+    tables: FactorTables, small: Iterable[Term], columns: list[tuple]
+) -> list[Term]:
+    """The non-zero factorwise products of each term of small with each term of the
+    other side, which is given by its factor columns list(zip(*terms))."""
+    times = tables.times.__getitem__
+    products: list[Term] = []
+    for s in small:
+        # factor i of s times column i, in C; a None factor zeroes the product
+        products += filter(_NONZERO, zip(*map(map, map(times, s), columns)))
+    return products
 
 
 def mul_factor_raw(
@@ -51,15 +65,10 @@ def mul(alpha: Cycle, beta: Cycle) -> Cycle:
     _check_same(alpha, beta)
     if alpha.arity == 0:  # scalars; zip over no columns below would drop () * ()
         return Cycle(alpha.geometry, 0, alpha.terms & beta.terms)
-    times = alpha.geometry.tables.times.__getitem__
     small, big = alpha.terms, beta.terms
     if len(small) > len(big):
         small, big = big, small
-    columns = list(zip(*big))
-    products: list[Term] = []
-    for s in small:
-        # factor i of s times column i of big, in C; a None factor zeroes the product
-        products += filter(_NONZERO, zip(*map(map, map(times, s), columns)))
+    products = _term_products(alpha.geometry.tables, small, list(zip(*big)))
     return cycle(alpha.geometry, alpha.arity, products)
 
 

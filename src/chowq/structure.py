@@ -27,6 +27,8 @@ from typing import Iterable
 from .basis import (
     ArityError,
     Cycle,
+    FactorTables,
+    GeometryError,
     QuadricGeometry,
     Term,
     cycle,
@@ -45,9 +47,9 @@ from .correspondence import (
 from .gf2 import Gf2Subspace
 from .isotropy import pr_all
 from .ring import (
+    _term_products,
     essential_part,
     homogeneous_components,
-    mul,
     sym,
     transpose,
 )
@@ -87,8 +89,10 @@ class SplittingData:
     dim_form: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.witt_indices or any(i < 1 for i in self.witt_indices):
-            raise ValueError("higher Witt indices must be a non-empty positive sequence")
+        if not self.witt_indices or any(type(i) is not int or i < 1 for i in self.witt_indices):
+            raise ValueError(
+                f"higher Witt indices must be one or more positive integers: {self.witt_indices!r}"
+            )
 
     @property
     def height(self) -> int:
@@ -118,8 +122,8 @@ class RationalFamily:
     closed: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_arity < 1:
-            raise ArityError("max_arity must be at least 1")
+        if type(self.max_arity) is not int or self.max_arity < 1:
+            raise ArityError(f"max_arity must be an integer of at least 1, got {self.max_arity!r}")
         for r in range(1, self.max_arity + 1):
             self.groups.setdefault(r, Gf2Subspace())
 
@@ -170,6 +174,26 @@ def family_from_generators(
 # ---------------------------------------------------------------------------
 # closure
 
+_Entry = tuple[int, frozenset[Term], list[tuple]]
+
+
+def _entry(c: Cycle) -> _Entry:
+    """What closure keeps of a queued homogeneous vector: dimension, terms, factor columns."""
+    return c.dimension, c.terms, list(zip(*c.terms))
+
+
+def _product_vector(tables: FactorTables, index: dict[Term, int], a: _Entry, b: _Entry) -> int:
+    """The coordinates of the product of two entries of one arity, whose coordinate
+    index is given: each non-zero term product flips its bit, so equal ones cancel."""
+    _, a_terms, a_columns = a
+    _, b_terms, b_columns = b
+    if len(a_terms) > len(b_terms):
+        a_terms, b_columns = b_terms, a_columns
+    v = 0
+    for t in _term_products(tables, a_terms, b_columns):
+        v ^= 1 << index[t]
+    return v
+
 
 def closure(family: RationalFamily) -> RationalFamily:
     """Smallest family containing the input and closed under the forced operations.
@@ -183,15 +207,19 @@ def closure(family: RationalFamily) -> RationalFamily:
     first-projection pull-back and push-forward, and is multiplied by the slot
     generators h^0 x .. x h^1 x .. x h^0, by itself and by the earlier vectors,
     skipping the pairs of dimensions adding up to less than r*D (such a product
-    vanishes).  The h-monomials enter unqueued: these operations send them to
-    h-monomials or zero.  With E = diagonal x h^0 x .. x h^0, the projection
-    formula makes the diagonal push-forward of c transpose(h^0 x c, 0, 1) * E
-    and its pull-back the projection push-forward of c * E: no pass needed.
+    vanishes).  Products are taken in coordinates, against the factor columns
+    kept with each earlier vector; a Cycle is built only for a product that
+    grows its group, to be queued.  The h-monomials enter unqueued: these
+    operations send them to h-monomials or zero.  With E = diagonal x h^0 x ..
+    x h^0, the projection formula makes the diagonal push-forward of c
+    transpose(h^0 x c, 0, 1) * E and its pull-back the projection push-forward
+    of c * E: no pass needed.
     """
     geometry, top = family.geometry, family.max_arity
+    tables = geometry.tables
     fam = RationalFamily(geometry, top, splitting=family.splitting)
     queue: deque[Cycle] = deque()
-    earlier: dict[int, list[tuple[int, Cycle]]] = {r: [] for r in range(1, top + 1)}
+    earlier: dict[int, list[_Entry]] = {r: [] for r in range(1, top + 1)}
 
     def feed(c: Cycle) -> None:
         if c.terms and fam.groups[c.arity].add(encode_cycle(c)):
@@ -202,18 +230,18 @@ def closure(family: RationalFamily) -> RationalFamily:
             feed(piece)
 
     for r in range(1, top + 1):
-        for t in itertools.product(geometry.tables.h, repeat=r):
+        for t in itertools.product(tables.h, repeat=r):
             seed = single(geometry, *t)
             fam.groups[r].add(encode_cycle(seed))
             if seed.codimension == 1:  # h^1 in one slot: a slot generator
-                earlier[r].append((seed.dimension, seed))
+                earlier[r].append(_entry(seed))
         for c in family.members(r):
             feed_components(c)
     if top >= 2:
         feed(diagonal_class(geometry))
     while queue:
         c = queue.popleft()
-        r, dim = c.arity, c.dimension
+        r = c.arity
         for i in range(r - 1):
             feed(transpose(c, i, i + 1))
         feed_components(steenrod_total(c))
@@ -221,10 +249,15 @@ def closure(family: RationalFamily) -> RationalFamily:
             feed(pullback_projection(c))
         if r >= 2:
             feed(pushforward_projection(c))
-        earlier[r].append((dim, c))
-        for e_dim, e in earlier[r]:
-            if dim + e_dim >= r * geometry.D:
-                feed(mul(c, e))
+        mine = _entry(c)
+        earlier[r].append(mine)
+        group, (_, index) = fam.groups[r], tables.coords(r)
+        floor = r * geometry.D - mine[0]
+        for e in earlier[r]:
+            if e[0] >= floor:
+                v = _product_vector(tables, index, mine, e)
+                if v and group.add(v):
+                    queue.append(decode_cycle(geometry, r, v))
     fam.closed = True
     return fam
 
@@ -267,7 +300,10 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def binary_cycle(geometry: QuadricGeometry, i: int) -> Cycle:
-    return Cycle(geometry, 2, frozenset({(h(0), l(i)), (l(i), h(0))}))
+    if type(i) is not int or not 0 <= i <= geometry.d:
+        raise GeometryError(f"l_{i!r} is not a factor for D={geometry.D}")
+    h0, li = geometry.tables.h[0], geometry.tables.l[i]
+    return Cycle(geometry, 2, frozenset({(h0, li), (li, h0)}))
 
 
 def check_binary_size(family: RationalFamily) -> CheckResult:
@@ -432,7 +468,7 @@ def forbidden_cells(
     """Cells excluded from any rational cycle of dimension D + k - 1 (k >= 1)."""
     if k < 1:
         return set()
-    js = splitting.partial_sums
+    js, H, L = splitting.partial_sums, geometry.tables.h, geometry.tables.l
     out: set[Term] = set()
     for q in splitting.shells():
         iq = splitting.witt_indices[q - 1]
@@ -440,8 +476,8 @@ def forbidden_cells(
             x = js[q - 1] + i
             y = js[q - 1] + i + k - 1
             if x <= geometry.d and y <= geometry.d:
-                out.add((h(x), l(y)))
-                out.add((l(y), h(x)))
+                out.add((H[x], L[y]))
+                out.add((L[y], H[x]))
     return out
 
 
@@ -460,15 +496,15 @@ def check_pairs(alpha: Cycle, splitting: SplittingData) -> CheckResult:
     if alpha.is_zero or alpha.dimension < geometry.D:
         return CheckResult("pairs", True)
     k = alpha.dimension - geometry.D
-    js = splitting.partial_sums
+    js, H, L = splitting.partial_sums, geometry.tables.h, geometry.tables.l
     bad = []
     for q in splitting.shells():
         for x in range(js[q - 1], js[q] - k):
             y = js[q - 1] + js[q] - 1 - x
             if x + k > geometry.d or y > geometry.d:
                 continue
-            left = (h(x), l(x + k))
-            right = (l(y), h(y - k))
+            left = (H[x], L[x + k])
+            right = (L[y], H[y - k])
             if (left in alpha.terms) != (right in alpha.terms):
                 bad.append((left, right))
     return CheckResult("pairs", not bad, tuple(bad))

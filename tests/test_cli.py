@@ -177,6 +177,27 @@ def test_check_rejects_non_integer_dimension_and_arity(tmp_path, capsys, field, 
     assert "must be a non-negative integer" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("D", 6.9, "6.9"),
+        ("D", True, "True"),
+        ("D", "6", "'6'"),
+        ("max_arity", 2.5, "2.5"),
+        ("splitting", [2.0, 2], "(2.0, 2)"),
+        ("splitting", 5, "not iterable"),
+    ],
+)
+def test_check_rejects_family_fields_of_the_wrong_type(tmp_path, capsys, field, value, shown):
+    data = {"D": 6, "max_arity": 2, "splitting": [2, 2], "generators": ["h0 x l1 + l1 x h0"]}
+    data[field] = value
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(family))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and shown in err
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
     assert code == 1 and "error" in err

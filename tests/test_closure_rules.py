@@ -10,9 +10,12 @@
 - The diagonal maps are products with E = diagonal x h^0 x .. x h^0 followed
   by first-projection maps (the projection formula), so feeding the diagonal
   once spans their images.
+- The product closure takes in coordinates is the encoding of mul, also where
+  non-zero term products cancel mod 2.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -25,7 +28,15 @@ from chowq.correspondence import (
     pushforward_projection,
 )
 from chowq.ring import mul, permute, transpose, unit
-from chowq.structure import RationalFamily, closure
+from chowq.structure import (
+    RationalFamily,
+    _entry,
+    _product_vector,
+    closure,
+    encode_cycle,
+    family_from_generators,
+    known_generator,
+)
 
 CASES = [(D, r) for D in range(0, 7) for r in range(1, 4)]
 
@@ -101,3 +112,50 @@ def test_closure_of_nothing_holds_the_diagonal_and_its_lifts(D, top):
     for r in range(2, top + 1):
         for sigma in itertools.permutations(range(r)):
             assert fam.contains(permute(diagonal_lift(g, r), sigma)), (r, sigma)
+
+
+def coordinate_product(a, b):
+    tables = a.geometry.tables
+    return _product_vector(tables, tables.coords(a.arity)[1], _entry(a), _entry(b))
+
+
+@pytest.mark.parametrize("D, r", [(D, r) for D in range(0, 7) for r in (1, 2)])
+def test_coordinate_product_of_basis_terms_is_mul(D, r):
+    cells = [c for _, c in basis_cycles(QuadricGeometry(D), r)]
+    for a, b in itertools.product(cells, repeat=2):
+        assert coordinate_product(a, b) == encode_cycle(mul(a, b)), (a, b)
+
+
+def random_sum(rng, g, piece):
+    """A sum of one to six of the given arity-3 terms."""
+    return Cycle(g, 3, frozenset(rng.sample(piece, rng.randint(1, min(6, len(piece))))))
+
+
+def test_coordinate_product_of_homogeneous_sums_is_mul():
+    rng = random.Random(11)
+    cancelled = 0
+    for D in range(1, 9):
+        g = QuadricGeometry(D)
+        by_dim = {}
+        for be in enumerate_basis(g, 3):
+            by_dim.setdefault(be.dimension, []).append(be.factors)
+        pieces = list(by_dim.values())
+        for _ in range(40):
+            a, b = (random_sum(rng, g, rng.choice(pieces)) for _ in range(2))
+            want = mul(a, b)
+            assert coordinate_product(a, b) == encode_cycle(want), (a, b)
+            pairs = itertools.product(a.terms, b.terms)
+            nonzero = sum(not mul(single(g, *s), single(g, *t)).is_zero for s, t in pairs)
+            cancelled += nonzero > len(want.terms)
+    # h^1 x h^0 + h^0 x h^1 squared: both mixed products give h^1 x h^1, which cancels
+    g = QuadricGeometry(4)
+    c = Cycle(g, 2, frozenset({(h(1), h(0)), (h(0), h(1))}))
+    square = Cycle(g, 2, frozenset({(h(2), h(0)), (h(0), h(2))}))
+    assert coordinate_product(c, c) == encode_cycle(square)
+    assert cancelled > 0
+
+
+def test_closure_ranks_at_arity_four():
+    g = QuadricGeometry(6)
+    fam = closure(family_from_generators(g, 4, [known_generator(g, 1)]))
+    assert {r: s.rank for r, s in fam.groups.items()} == {1: 4, 2: 20, 3: 112, 4: 676}

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from chowq import structure
-from chowq.basis import QuadricGeometry, enumerate_basis, h, l, single
+from chowq.basis import GeometryError, QuadricGeometry, enumerate_basis, h, l, single
 from chowq.correspondence import diagonal_class
 from chowq.gf2 import Gf2Subspace
 from chowq.isotropy import all_signatures, pr_multi
@@ -142,6 +142,10 @@ def test_binary_size():
     bad.add(binary_cycle(g, 3))  # D - i + 1 = 6
     res = check_binary_size(bad)
     assert not res.passed and res.witnesses == (3,)
+    assert binary_cycle(g, 4).terms == {(h(0), l(4)), (l(4), h(0))}
+    for i in (-1, 5, True):  # l_i exists for integers 0 <= i <= d only
+        with pytest.raises(GeometryError):
+            binary_cycle(g, i)
 
 
 def test_witt_index_readoff():
