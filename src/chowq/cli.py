@@ -207,6 +207,8 @@ def _load_family(path: str) -> RationalFamily:
     with open(path) as fh:
         data = json.load(fh)
     g = QuadricGeometry(data["D"])
+    if not isinstance(data["generators"], list):
+        raise ValueError(f"generators must be a list of cycles, got {data['generators']!r}")
     gens = []
     for item in data["generators"]:
         if isinstance(item, str):
@@ -218,7 +220,7 @@ def _load_family(path: str) -> RationalFamily:
             gens.append(cycle_from_json(item))
     splitting = None
     if data.get("splitting"):
-        splitting = SplittingData(tuple(data["splitting"]), data.get("dim_form"))
+        splitting = SplittingData(tuple(data["splitting"]))
     return family_from_generators(g, data["max_arity"], gens, splitting)
 
 

@@ -32,7 +32,6 @@ from .basis import (
     QuadricGeometry,
     Term,
     cycle,
-    enumerate_basis,
     h,
     l,
     single,
@@ -86,7 +85,6 @@ class SplittingData:
     """Higher Witt indices of an anisotropic form, with their partial sums."""
 
     witt_indices: tuple[int, ...]
-    dim_form: int | None = None
 
     def __post_init__(self) -> None:
         if not self.witt_indices or any(type(i) is not int or i < 1 for i in self.witt_indices):
@@ -613,13 +611,17 @@ def i1_exclusion_via_steenrod(D: int, i1_candidate: int) -> str:
     # No allowed cell of the hypothetical top cycle can feed either side of the
     # mirror pair, so the asymmetry of the image is unavoidable.  Only the
     # first-shell exclusions are available; the rest of the splitting is unknown.
+    # S^k keeps each factor's kind, raises h^i to h^(i+k) and lowers l_i to
+    # l_(i-k), so only h^0 x l_(i1-1), a cell of the known cycle, reaches the
+    # target, and only l_(i1-1+k) x h^k with 0 <= k <= 2^r reaches the partner,
+    # through S^k x S^(2^r-k); k = 0 is the other cell of the known cycle.
     blocked = forbidden_cells(geometry, SplittingData((i1,)), i1)
-    for be in enumerate_basis(geometry, 2, geometry.D + i1 - 1):
-        t = be.factors
-        if not be.is_essential or t in blocked or t in known.terms:
+    tables = geometry.tables
+    for k in range(1, min(two_r, geometry.d - i1 + 1) + 1):
+        f, g = tables.l[i1 - 1 + k], tables.h[k]
+        if (f, g) in blocked:
             continue
-        img = steenrod_k(Cycle(geometry, 2, frozenset({t})), two_r)
-        if target in img.terms or partner in img.terms:
+        if tables.squares[f][k] is not None and tables.squares[g][two_r - k] is not None:
             return "not-excluded"
     return "excluded"
 

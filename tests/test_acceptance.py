@@ -201,12 +201,11 @@ def test_criterion_09_first_index_exclusion():
     assert i1_exclusion_via_steenrod(5, 3) == "not-excluded"
     assert allowed_first_witt_indices(26) == {1, 2, 10}
     # oracle: i1 survives iff it is at most the 2-part of dim - i1
-    dim = 26
-    predicate = {
-        i1 for i1 in range(1, dim // 2 + 1) if i1 <= ((dim - i1) & -(dim - i1))
-    }
-    assert predicate == {1, 2, 10}
-    assert allowed_first_witt_indices(26) == predicate
+    for dim in range(3, 301):
+        predicate = {
+            i1 for i1 in range(1, dim // 2 + 1) if i1 <= ((dim - i1) & -(dim - i1))
+        }
+        assert allowed_first_witt_indices(dim) == predicate, dim
 
 
 def test_criterion_10_formula_suite():

@@ -186,6 +186,9 @@ def test_check_rejects_non_integer_dimension_and_arity(tmp_path, capsys, field, 
         ("max_arity", 2.5, "2.5"),
         ("splitting", [2.0, 2], "(2.0, 2)"),
         ("splitting", 5, "not iterable"),
+        ("generators", "h0 x l1", "generators must be a list"),
+        ("generators", {"a": 1}, "generators must be a list"),
+        ("generators", 5, "generators must be a list"),
     ],
 )
 def test_check_rejects_family_fields_of_the_wrong_type(tmp_path, capsys, field, value, shown):

@@ -60,7 +60,7 @@ def test_params_validation():
 
 def test_forced_witt_sequence():
     s = forced_witt_sequence(4, 26)
-    assert s.witt_indices == (1, 4, 8) and s.dim_form == 26
+    assert s.witt_indices == (1, 4, 8)
     assert forced_witt_sequence(5, 52).witt_indices == (2, 8, 16)
     assert forced_witt_sequence(5, 50).witt_indices == (1, 8, 16)
     # consistent with the parameter object: first index is a = 2^(p-1)

@@ -2,9 +2,9 @@
 
 The per-geometry tables are checked against the rule-based definitions the
 kernel used before it was table-driven; those rules live only here now.  The
-brute certifier's walk over the defect selections (xi updated from a table
-of per-part blocks, one flipped part at a time) is checked case by case
-against the public build_xi.
+brute certifier's walk over the defect selections (the target bit of xi
+updated from the block table of target bits, one flipped part at a time) is
+checked case by case against the public build_xi.
 """
 
 import random
@@ -14,9 +14,8 @@ import pytest
 from chowq.basis import QuadricGeometry, h, l, single
 from chowq.holes import (
     HoleParams,
-    _blocks,
-    _inner_parts,
-    _xi_cases,
+    _target_rows,
+    _walk,
     build_mu_zero,
     build_xi,
     mu_prime_generators,
@@ -102,7 +101,7 @@ def test_tables_are_shared_per_dimension():
 
 def _parts(params, gens):
     parts = [build_mu_zero(params)] + gens
-    return parts, _blocks(parts, _inner_parts(params, parts))
+    return parts, _target_rows(params, parts)
 
 
 def _mu(parts, selection):
@@ -117,15 +116,16 @@ def _mu(parts, selection):
 def test_hoisted_xi_matches_build_xi(nmp):
     """Every selection at (4,3,1), 64 seeded ones at (5,4,2); each from 0 and mid-way."""
     params = HoleParams(*nmp)
-    parts, blocks = _parts(params, mu_prime_generators(params))
+    target = target_cell(params)
+    parts, rows = _parts(params, mu_prime_generators(params))
     n_cases = 1 << (len(parts) - 1)
     rng = random.Random(2004)
     for lo, hi in ((0, n_cases), (1000, 2500)):
         picked = range(lo, hi) if nmp == (4, 3, 1) else sorted(rng.sample(range(lo, hi), 64))
         seen = []
-        for case, xi in _xi_cases(blocks, lo, hi):
+        for case, bit in _walk(rows, lo, hi):
             if case in picked:
-                assert xi == build_xi(_mu(parts, case), params).terms, case
+                assert bit == (target in build_xi(_mu(parts, case), params)), case
                 seen.append(case)
         assert seen == list(picked)
 
@@ -135,10 +135,24 @@ def test_mutated_generators_fail_on_the_cases_build_xi_finds():
     gens = mu_prime_generators(params)
     chi = gens[3]  # chi_2 on the first slot
     gens[3] = chi + single(params.geometry, *chi.sorted_terms()[0])
-    parts, blocks = _parts(params, gens)
+    parts, rows = _parts(params, gens)
     target = target_cell(params)
     cases = range(1 << len(gens))
-    walked = {c for c, xi in _xi_cases(blocks, 0, len(cases)) if target not in xi}
+    walked = {c for c, bit in _walk(rows, 0, len(cases)) if not bit}
     direct = {c for c in cases if target not in build_xi(_mu(parts, c), params)}
     assert walked == direct
     assert walked
+
+
+def test_walk_evaluates_the_quadratic_form_of_any_table():
+    """Random rows exercise the off-diagonal bits that the real blocks leave at 0."""
+    rng = random.Random(2004)
+    rows = [rng.getrandbits(9) for _ in range(9)]
+    for lo, hi in ((0, 256), (100, 200)):
+        cases = []
+        for case, bit in _walk(rows, lo, hi):
+            chosen = case << 1 | 1
+            want = sum((row & chosen).bit_count() for x, row in enumerate(rows) if chosen >> x & 1)
+            assert bit == want & 1, case
+            cases.append(case)
+        assert cases == list(range(lo, hi))
