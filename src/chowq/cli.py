@@ -206,6 +206,8 @@ def _cmd_diagram(args) -> int:
 def _load_family(path: str) -> RationalFamily:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"family file must be a JSON object, got {type(data).__name__}")
     g = QuadricGeometry(data["D"])
     if not isinstance(data["generators"], list):
         raise ValueError(f"generators must be a list of cycles, got {data['generators']!r}")
@@ -218,9 +220,10 @@ def _load_family(path: str) -> RationalFamily:
             gens.append(parse_cycle(item, g, arity))
         else:
             gens.append(cycle_from_json(item))
-    splitting = None
-    if data.get("splitting"):
-        splitting = SplittingData(tuple(data["splitting"]))
+    indices = data.get("splitting")
+    if indices is not None and not isinstance(indices, list):
+        raise ValueError(f"splitting must be a list of Witt indices, got {indices!r}")
+    splitting = SplittingData(tuple(indices)) if indices else None
     return family_from_generators(g, data["max_arity"], gens, splitting)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Iterable
 
 from .basis import (
@@ -45,13 +46,7 @@ from .correspondence import (
 )
 from .gf2 import Gf2Subspace
 from .isotropy import pr_all
-from .ring import (
-    _term_products,
-    essential_part,
-    homogeneous_components,
-    sym,
-    transpose,
-)
+from .ring import essential_part, homogeneous_components, sym, transpose
 from .steenrod import steenrod_k, steenrod_total
 
 # ---------------------------------------------------------------------------
@@ -172,24 +167,52 @@ def family_from_generators(
 # ---------------------------------------------------------------------------
 # closure
 
-_Entry = tuple[int, frozenset[Term], list[tuple]]
 
+class _Entry:
+    """What closure keeps of a queued homogeneous vector, with one dict of masks per slot."""
 
-def _entry(c: Cycle) -> _Entry:
-    """What closure keeps of a queued homogeneous vector: dimension, terms, factor columns."""
-    return c.dimension, c.terms, list(zip(*c.terms))
+    __slots__ = ("dimension", "terms", "columns", "masks", "prod")
+
+    def __init__(self, c: Cycle) -> None:
+        self.dimension, self.terms = c.dimension, list(c.terms)
+        self.columns = list(zip(*self.terms))
+        self.masks: list[dict[int, int]] = [{} for _ in self.columns]
+        self.prod = c.geometry.tables.prod
+
+    def mask(self, slot: int, f: int) -> int:
+        """Bit k is set when term k's factor in the slot has a non-zero product with f.
+        Built here on first use and cached in masks, where products look first."""
+        row = self.prod[f]
+        m = sum([1 << k for k, g in enumerate(self.columns[slot]) if row[g] is not None])
+        self.masks[slot][f] = m
+        return m
 
 
 def _product_vector(tables: FactorTables, index: dict[Term, int], a: _Entry, b: _Entry) -> int:
     """The coordinates of the product of two entries of one arity, whose coordinate
-    index is given: each non-zero term product flips its bit, so equal ones cancel."""
-    _, a_terms, a_columns = a
-    _, b_terms, b_columns = b
-    if len(a_terms) > len(b_terms):
-        a_terms, b_columns = b_terms, a_columns
-    v = 0
-    for t in _term_products(tables, a_terms, b_columns):
-        v ^= 1 << index[t]
+    index is given.  A term s of the smaller side meets only the terms in the AND
+    over the slots i of the other side's mask(i, s[i]), its non-zero products with
+    s; each flips its bit, so equal ones cancel."""
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    prod, terms, masks, v = tables.prod, b.terms, b.masks, 0
+    if len(terms) == 1:  # one term on each side: a mask would cost more than it saves
+        t = tuple(map(getitem, map(prod.__getitem__, a.terms[0]), terms[0]))
+        return 0 if None in t else 1 << index[t]
+    for s in a.terms:
+        m = -1
+        for i, f in enumerate(s):
+            got = masks[i].get(f)
+            m &= b.mask(i, f) if got is None else got
+            if not m:
+                break
+        if m:
+            rows = [prod[f] for f in s]
+            while m:
+                low = m & -m
+                m ^= low
+                t = terms[low.bit_length() - 1]
+                v ^= 1 << index[tuple(map(getitem, rows, t))]
     return v
 
 
@@ -205,13 +228,13 @@ def closure(family: RationalFamily) -> RationalFamily:
     first-projection pull-back and push-forward, and is multiplied by the slot
     generators h^0 x .. x h^1 x .. x h^0, by itself and by the earlier vectors,
     skipping the pairs of dimensions adding up to less than r*D (such a product
-    vanishes).  Products are taken in coordinates, against the factor columns
-    kept with each earlier vector; a Cycle is built only for a product that
-    grows its group, to be queued.  The h-monomials enter unqueued: these
-    operations send them to h-monomials or zero.  With E = diagonal x h^0 x ..
-    x h^0, the projection formula makes the diagonal push-forward of c
-    transpose(h^0 x c, 0, 1) * E and its pull-back the projection push-forward
-    of c * E: no pass needed.
+    vanishes).  Products are taken in coordinates, and only over the term pairs
+    that the per-slot masks of each queued vector (built on first use) show to
+    be non-zero; a Cycle is built only for a product that grows its group, to
+    be queued.  The h-monomials enter unqueued: these operations send them to
+    h-monomials or zero.  With E = diagonal x h^0 x .. x h^0, the projection
+    formula makes the diagonal push-forward of c transpose(h^0 x c, 0, 1) * E
+    and its pull-back the projection push-forward of c * E: no pass needed.
     """
     geometry, top = family.geometry, family.max_arity
     tables = geometry.tables
@@ -232,7 +255,7 @@ def closure(family: RationalFamily) -> RationalFamily:
             seed = single(geometry, *t)
             fam.groups[r].add(encode_cycle(seed))
             if seed.codimension == 1:  # h^1 in one slot: a slot generator
-                earlier[r].append(_entry(seed))
+                earlier[r].append(_Entry(seed))
         for c in family.members(r):
             feed_components(c)
     if top >= 2:
@@ -247,12 +270,12 @@ def closure(family: RationalFamily) -> RationalFamily:
             feed(pullback_projection(c))
         if r >= 2:
             feed(pushforward_projection(c))
-        mine = _entry(c)
+        mine = _Entry(c)
         earlier[r].append(mine)
         group, (_, index) = fam.groups[r], tables.coords(r)
-        floor = r * geometry.D - mine[0]
+        floor = r * geometry.D - mine.dimension
         for e in earlier[r]:
-            if e[0] >= floor:
+            if e.dimension >= floor:
                 v = _product_vector(tables, index, mine, e)
                 if v and group.add(v):
                     queue.append(decode_cycle(geometry, r, v))

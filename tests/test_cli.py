@@ -185,10 +185,12 @@ def test_check_rejects_non_integer_dimension_and_arity(tmp_path, capsys, field, 
         ("D", "6", "'6'"),
         ("max_arity", 2.5, "2.5"),
         ("splitting", [2.0, 2], "(2.0, 2)"),
-        ("splitting", 5, "not iterable"),
+        ("splitting", 5, "splitting must be a list of Witt indices"),
         ("generators", "h0 x l1", "generators must be a list"),
         ("generators", {"a": 1}, "generators must be a list"),
         ("generators", 5, "generators must be a list"),
+        ("splitting", {"a": 1}, "splitting must be a list of Witt indices"),
+        ("splitting", 0, "splitting must be a list of Witt indices"),
     ],
 )
 def test_check_rejects_family_fields_of_the_wrong_type(tmp_path, capsys, field, value, shown):
@@ -199,6 +201,15 @@ def test_check_rejects_family_fields_of_the_wrong_type(tmp_path, capsys, field, 
     code, out, err = run(capsys, "check", str(family))
     assert code == 1 and out == ""
     assert err.startswith("error:") and shown in err
+
+
+@pytest.mark.parametrize("data", [[], [{"D": 6}], "family", 6])
+def test_check_rejects_a_family_file_that_is_not_an_object(tmp_path, capsys, data):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(family))
+    assert code == 1 and out == ""
+    assert err.startswith("error: family file must be a JSON object")
 
 
 def test_check_missing_file(tmp_path, capsys):

@@ -11,7 +11,8 @@
   by first-projection maps (the projection formula), so feeding the diagonal
   once spans their images.
 - The product closure takes in coordinates is the encoding of mul, also where
-  non-zero term products cancel mod 2.
+  non-zero term products cancel mod 2, and its per-slot masks skip no
+  non-zero term product, also when they were cached by an earlier product.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from chowq.correspondence import (
 from chowq.ring import mul, permute, transpose, unit
 from chowq.structure import (
     RationalFamily,
-    _entry,
+    _Entry,
     _product_vector,
     closure,
     encode_cycle,
@@ -116,7 +117,7 @@ def test_closure_of_nothing_holds_the_diagonal_and_its_lifts(D, top):
 
 def coordinate_product(a, b):
     tables = a.geometry.tables
-    return _product_vector(tables, tables.coords(a.arity)[1], _entry(a), _entry(b))
+    return _product_vector(tables, tables.coords(a.arity)[1], _Entry(a), _Entry(b))
 
 
 @pytest.mark.parametrize("D, r", [(D, r) for D in range(0, 7) for r in (1, 2)])
@@ -126,9 +127,24 @@ def test_coordinate_product_of_basis_terms_is_mul(D, r):
         assert coordinate_product(a, b) == encode_cycle(mul(a, b)), (a, b)
 
 
-def random_sum(rng, g, piece):
-    """A sum of one to six of the given arity-3 terms."""
-    return Cycle(g, 3, frozenset(rng.sample(piece, rng.randint(1, min(6, len(piece))))))
+def random_sum(rng, g, piece, r=3):
+    """A sum of one to six of the given arity-r terms."""
+    return Cycle(g, r, frozenset(rng.sample(piece, rng.randint(1, min(6, len(piece))))))
+
+
+def pieces_by_dimension(g, r):
+    by_dim = {}
+    for be in enumerate_basis(g, r):
+        by_dim.setdefault(be.dimension, []).append(be.factors)
+    return list(by_dim.values())
+
+
+def cancels(a, b):
+    """Whether some non-zero term products of a and b cancel mod 2."""
+    g = a.geometry
+    pairs = itertools.product(a.terms, b.terms)
+    nonzero = sum(not mul(single(g, *s), single(g, *t)).is_zero for s, t in pairs)
+    return nonzero > len(mul(a, b).terms)
 
 
 def test_coordinate_product_of_homogeneous_sums_is_mul():
@@ -136,17 +152,11 @@ def test_coordinate_product_of_homogeneous_sums_is_mul():
     cancelled = 0
     for D in range(1, 9):
         g = QuadricGeometry(D)
-        by_dim = {}
-        for be in enumerate_basis(g, 3):
-            by_dim.setdefault(be.dimension, []).append(be.factors)
-        pieces = list(by_dim.values())
+        pieces = pieces_by_dimension(g, 3)
         for _ in range(40):
             a, b = (random_sum(rng, g, rng.choice(pieces)) for _ in range(2))
-            want = mul(a, b)
-            assert coordinate_product(a, b) == encode_cycle(want), (a, b)
-            pairs = itertools.product(a.terms, b.terms)
-            nonzero = sum(not mul(single(g, *s), single(g, *t)).is_zero for s, t in pairs)
-            cancelled += nonzero > len(want.terms)
+            assert coordinate_product(a, b) == encode_cycle(mul(a, b)), (a, b)
+            cancelled += cancels(a, b)
     # h^1 x h^0 + h^0 x h^1 squared: both mixed products give h^1 x h^1, which cancels
     g = QuadricGeometry(4)
     c = Cycle(g, 2, frozenset({(h(1), h(0)), (h(0), h(1))}))
@@ -155,7 +165,41 @@ def test_coordinate_product_of_homogeneous_sums_is_mul():
     assert cancelled > 0
 
 
+def test_masked_products_at_arity_four_skip_no_nonzero_term_product():
+    """One entry meets several partners, so later products read masks that an
+    earlier product cached; mul, which forms every term product, is the oracle."""
+    rng = random.Random(13)
+    cancelled = products = 0
+    for D in range(1, 7):
+        g = QuadricGeometry(D)
+        tables = g.tables
+        index = tables.coords(4)[1]
+        pieces = pieces_by_dimension(g, 4)
+        for _ in range(6):
+            c = random_sum(rng, g, rng.choice(pieces), 4)
+            kept = _Entry(c)
+            for _ in range(5):
+                e = random_sum(rng, g, rng.choice(pieces), 4)
+                for a, b in ((kept, _Entry(e)), (_Entry(e), kept)):
+                    assert _product_vector(tables, index, a, b) == encode_cycle(mul(c, e)), (c, e)
+                products += not mul(c, e).is_zero
+                cancelled += cancels(c, e)
+    # (h^1 x h^0 + h^0 x h^1) x h^0 x h^0 squared: the mixed products cancel
+    g = QuadricGeometry(4)
+    pad = (h(0), h(0))
+    c = Cycle(g, 4, frozenset({(h(1), h(0)) + pad, (h(0), h(1)) + pad}))
+    square = Cycle(g, 4, frozenset({(h(2), h(0)) + pad, (h(0), h(2)) + pad}))
+    assert coordinate_product(c, c) == encode_cycle(square)
+    assert cancelled > 0 and products > 0
+
+
 def test_closure_ranks_at_arity_four():
     g = QuadricGeometry(6)
     fam = closure(family_from_generators(g, 4, [known_generator(g, 1)]))
     assert {r: s.rank for r, s in fam.groups.items()} == {1: 4, 2: 20, 3: 112, 4: 676}
+
+
+def test_closure_ranks_at_arity_three_and_d_twenty():
+    g = QuadricGeometry(20)
+    fam = closure(family_from_generators(g, 3, [known_generator(g, 1)]))
+    assert {r: s.rank for r, s in fam.groups.items()} == {1: 11, 2: 132, 3: 1694}

@@ -169,6 +169,15 @@ def test_splitting_readoff_split():
     assert splitting_readoff(fam).witt_indices == (3,)
 
 
+def test_splitting_readoff_at_height_three():
+    # the third step needs arity 4; one arity less stops at step 3
+    g = QuadricGeometry(4)
+    gens = [known_generator(g, 1)]
+    assert splitting_readoff(closure(family_from_generators(g, 4, gens))).witt_indices == (1, 1, 1)
+    with pytest.raises(FamilyError, match="need arity 4"):
+        splitting_readoff(closure(family_from_generators(g, 3, gens)))
+
+
 def test_splitting_readoff_insufficient():
     fam = known_family(max_arity=2)
     with pytest.raises(FamilyError):
