@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, product, repeat
 from operator import ge, gt, is_, le, lt
 from typing import Iterable
@@ -122,7 +122,7 @@ class FactorTables:
         self.dims = _interleave(list(range(D, D - d - 1, -1)), list(range(d + 1)))
         self.order = _interleave(list(range(d + 1)), list(range(d + 1, 2 * d + 2)))
         self.middle_square = (D + 1) * (d + 1) % 2 == 1  # l_d * l_d = l_0
-        self._coords: dict[int, tuple[list[Term], dict[Term, int]]] = {}
+        self._maps: dict[int, CoordinateMaps] = {}
 
     @cached_property
     def prod(self) -> list[list[BasisFactor | None]]:
@@ -165,10 +165,14 @@ class FactorTables:
 
     def coords(self, r: int) -> tuple[list[Term], dict[Term, int]]:
         """The arity-r terms in canonical order (h's before l's in each slot) and their indices."""
-        got = self._coords.get(r)
+        maps = self.maps(r)
+        return maps.terms, maps.index
+
+    def maps(self, r: int) -> "CoordinateMaps":
+        """The arity-r coordinates and the closure's linear maps on them."""
+        got = self._maps.get(r)
         if got is None:
-            terms = list(product(self.h + self.l, repeat=r))
-            got = self._coords[r] = (terms, {t: i for i, t in enumerate(terms)})
+            got = self._maps[r] = CoordinateMaps(self, r)
         return got
 
     @cached_property
@@ -180,6 +184,66 @@ class FactorTables:
                 dim = dims[a] + dims[b]
                 masks[dim] = masks.get(dim, 0) | 1 << i
         return masks
+
+
+class _Images(dict):
+    """The images of coordinates by index, each computed by image(k) when first read."""
+
+    def __init__(self, image) -> None:
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, k: int) -> int:
+        got = self[k] = self.image(k)
+        return got
+
+
+class CoordinateMaps:
+    """The arity-r terms in coordinate order, and linear maps on their coordinates.
+
+    Bit k of a vector is terms[k]; dims[k] is its dimension and dim_masks[e] has
+    the bits of dimension e.  Entry k of swaps[i] (slots i and i + 1 swapped) and of
+    steenrod (the total operation) is the vector of the image of term k, computed
+    when first read, so a closure that meets few coordinates builds few entries;
+    apply_table maps a vector through one.  h^0 comes first in slot 0, so the
+    first-projection pull-back h^0 x c keeps the coordinates of c, and the terms
+    l_0 x t form one block in the order of the t.
+    """
+
+    def __init__(self, tables: FactorTables, r: int) -> None:
+        self.tables = tables
+        self.terms = list(product(tables.h + tables.l, repeat=r))
+        self.index = {t: k for k, t in enumerate(self.terms)}
+        self.dims = list(map(sum, product([tables.dims[f] for f in tables.h + tables.l], repeat=r)))
+        self.dim_masks = [0] * (r * tables.D + 1)
+        for k, dim in enumerate(self.dims):
+            self.dim_masks[dim] |= 1 << k
+        self.swaps = [_Images(partial(self._swap, i)) for i in range(r - 1)]
+        self.steenrod = _Images(self._steenrod)
+        width = len(self.terms) // len(tables.factors)  # the arity r - 1 coordinates
+        self._l0, self._rest = (tables.d + 1) * width, (1 << width) - 1
+
+    def _swap(self, i: int, k: int) -> int:
+        t = self.terms[k]
+        return 1 << self.index[t[:i] + (t[i + 1], t[i]) + t[i + 2 :]]
+
+    def _steenrod(self, k: int) -> int:
+        images = self.tables.steenrod
+        return sum([1 << self.index[p] for p in product(*map(images.__getitem__, self.terms[k]))])
+
+    def pushforward(self, v: int) -> int:
+        """The push-forward along the first projection (r >= 2): l_0 x t -> t, else 0."""
+        return v >> self._l0 & self._rest
+
+
+def apply_table(table: dict[int, int], v: int) -> int:
+    """The image of v under the linear map sending coordinate k to table[k]."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= table[low.bit_length() - 1]
+        v ^= low
+    return out
 
 
 _TABLES: dict[int, FactorTables] = {}

@@ -208,18 +208,23 @@ def _load_family(path: str) -> RationalFamily:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"family file must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("D", "max_arity", "generators") if key not in data]
+    if missing:
+        raise ValueError(f"family file lacks the field {missing[0]!r}")
     g = QuadricGeometry(data["D"])
     if not isinstance(data["generators"], list):
         raise ValueError(f"generators must be a list of cycles, got {data['generators']!r}")
     gens = []
-    for item in data["generators"]:
+    for i, item in enumerate(data["generators"]):
         if isinstance(item, str):
             arity = _infer_arity(item)
             if arity is None:
                 continue
             gens.append(parse_cycle(item, g, arity))
-        else:
+        elif isinstance(item, dict):
             gens.append(cycle_from_json(item))
+        else:
+            raise ValueError(f"generators[{i}] must be cycle text or a JSON cycle, got {item!r}")
     indices = data.get("splitting")
     if indices is not None and not isinstance(indices, list):
         raise ValueError(f"splitting must be a list of Witt indices, got {indices!r}")

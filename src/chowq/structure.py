@@ -19,6 +19,7 @@ raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,27 +28,24 @@ from typing import Iterable
 
 from .basis import (
     ArityError,
+    CoordinateMaps,
     Cycle,
     FactorTables,
     GeometryError,
     QuadricGeometry,
     Term,
+    apply_table,
     cycle,
     h,
     l,
     single,
     term_is_essential,
 )
-from .correspondence import (
-    derivative,
-    diagonal_class,
-    pullback_projection,
-    pushforward_projection,
-)
+from .correspondence import derivative, diagonal_class
 from .gf2 import Gf2Subspace
 from .isotropy import pr_all
-from .ring import essential_part, homogeneous_components, sym, transpose
-from .steenrod import steenrod_k, steenrod_total
+from .ring import essential_part, sym, transpose
+from .steenrod import steenrod_k
 
 # ---------------------------------------------------------------------------
 # coordinates: cycles <-> int bitsets over the canonical basis order
@@ -61,14 +59,18 @@ def encode_cycle(c: Cycle) -> int:
     return v
 
 
-def decode_cycle(geometry: QuadricGeometry, r: int, v: int) -> Cycle:
-    terms, _ = geometry.tables.coords(r)
+def _terms_of(terms: list[Term], v: int) -> list[Term]:
+    """The terms whose bits are set in v, given the terms of its arity in coordinate order."""
     acc = []
     while v:
         low = v & -v
         acc.append(terms[low.bit_length() - 1])
         v ^= low
-    return Cycle(geometry, r, frozenset(acc))
+    return acc
+
+
+def decode_cycle(geometry: QuadricGeometry, r: int, v: int) -> Cycle:
+    return Cycle(geometry, r, frozenset(_terms_of(geometry.tables.coords(r)[0], v)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +175,12 @@ class _Entry:
 
     __slots__ = ("dimension", "terms", "columns", "masks", "prod")
 
-    def __init__(self, c: Cycle) -> None:
-        self.dimension, self.terms = c.dimension, list(c.terms)
+    def __init__(self, maps: CoordinateMaps, v: int) -> None:
+        self.dimension = maps.dims[(v & -v).bit_length() - 1]
+        self.terms = _terms_of(maps.terms, v)
         self.columns = list(zip(*self.terms))
         self.masks: list[dict[int, int]] = [{} for _ in self.columns]
-        self.prod = c.geometry.tables.prod
+        self.prod = maps.tables.prod
 
     def mask(self, slot: int, f: int) -> int:
         """Bit k is set when term k's factor in the slot has a non-zero product with f.
@@ -220,65 +223,64 @@ def closure(family: RationalFamily) -> RationalFamily:
     """Smallest family containing the input and closed under the forced operations.
 
     The operations are linear and the product bilinear, so a worklist of the
-    vectors that grew a group suffices.  It holds homogeneous vectors only: the
-    input and each total Steenrod image enter as their homogeneous components,
-    and the diagonal class enters once when the arity bound is at least 2.  A
-    vector of arity r goes once through the r-1 adjacent transpositions (which
-    generate every permutation), the total Steenrod operation and the
-    first-projection pull-back and push-forward, and is multiplied by the slot
-    generators h^0 x .. x h^1 x .. x h^0, by itself and by the earlier vectors,
-    skipping the pairs of dimensions adding up to less than r*D (such a product
-    vanishes).  Products are taken in coordinates, and only over the term pairs
-    that the per-slot masks of each queued vector (built on first use) show to
-    be non-zero; a Cycle is built only for a product that grows its group, to
-    be queued.  The h-monomials enter unqueued: these operations send them to
-    h-monomials or zero.  With E = diagonal x h^0 x .. x h^0, the projection
-    formula makes the diagonal push-forward of c transpose(h^0 x c, 0, 1) * E
-    and its pull-back the projection push-forward of c * E: no pass needed.
+    vectors that grew a group suffices.  It holds homogeneous vectors only, as
+    (arity, coordinates) pairs: the input rows and each total Steenrod image
+    enter as their homogeneous components, cut out by the dimension masks of
+    CoordinateMaps, and the diagonal class enters once when the arity bound is
+    at least 2.  A vector of arity r goes once through the r-1 adjacent
+    transpositions (which generate every permutation), the total Steenrod
+    operation and the first-projection pull-back and push-forward, each taken
+    in coordinates by CoordinateMaps, and is multiplied by the slot generators
+    h^0 x .. x h^1 x .. x h^0, by itself and by the earlier vectors, skipping
+    the pairs of dimensions adding up to less than r*D (such a product
+    vanishes).  A product forms only the term pairs that the per-slot masks of
+    each queued vector (built on first use) show to be non-zero.  No Cycle is
+    built inside the fixpoint.  The h-monomials enter unqueued: these
+    operations send them to h-monomials or zero.  With E = diagonal x h^0 x ..
+    x h^0, the projection formula makes the diagonal push-forward of c
+    transpose(h^0 x c, 0, 1) * E and its pull-back the projection push-forward
+    of c * E: no pass needed.
     """
     geometry, top = family.geometry, family.max_arity
     tables = geometry.tables
     fam = RationalFamily(geometry, top, splitting=family.splitting)
-    queue: deque[Cycle] = deque()
+    queue: deque[tuple[int, int]] = deque()
     earlier: dict[int, list[_Entry]] = {r: [] for r in range(1, top + 1)}
 
-    def feed(c: Cycle) -> None:
-        if c.terms and fam.groups[c.arity].add(encode_cycle(c)):
-            queue.append(c)
-
-    def feed_components(c: Cycle) -> None:
-        for piece in homogeneous_components(c).values():
-            feed(piece)
+    def feed(r: int, v: int) -> None:
+        if v and fam.groups[r].add(v):
+            queue.append((r, v))
 
     for r in range(1, top + 1):
+        maps, top_dim = tables.maps(r), r * geometry.D
         for t in itertools.product(tables.h, repeat=r):
-            seed = single(geometry, *t)
-            fam.groups[r].add(encode_cycle(seed))
-            if seed.codimension == 1:  # h^1 in one slot: a slot generator
-                earlier[r].append(_Entry(seed))
-        for c in family.members(r):
-            feed_components(c)
+            k = maps.index[t]
+            fam.groups[r].add(1 << k)
+            if maps.dims[k] == top_dim - 1:  # h^1 in one slot: a slot generator
+                earlier[r].append(_Entry(maps, 1 << k))
+        for v in family.groups[r].rows():
+            for m in maps.dim_masks:
+                feed(r, v & m)
     if top >= 2:
-        feed(diagonal_class(geometry))
+        feed(2, encode_cycle(diagonal_class(geometry)))
     while queue:
-        c = queue.popleft()
-        r = c.arity
-        for i in range(r - 1):
-            feed(transpose(c, i, i + 1))
-        feed_components(steenrod_total(c))
+        r, v = queue.popleft()
+        maps = tables.maps(r)
+        for swap in maps.swaps:
+            feed(r, apply_table(swap, v))
+        mine = _Entry(maps, v)
+        image = apply_table(maps.steenrod, v)
+        for m in maps.dim_masks[: mine.dimension + 1]:  # S only lowers the dimension
+            feed(r, image & m)
         if r < top:
-            feed(pullback_projection(c))
+            feed(r + 1, v)  # h^0 x c has the coordinates of c
         if r >= 2:
-            feed(pushforward_projection(c))
-        mine = _Entry(c)
+            feed(r - 1, maps.pushforward(v))
         earlier[r].append(mine)
-        group, (_, index) = fam.groups[r], tables.coords(r)
         floor = r * geometry.D - mine.dimension
         for e in earlier[r]:
             if e.dimension >= floor:
-                v = _product_vector(tables, index, mine, e)
-                if v and group.add(v):
-                    queue.append(decode_cycle(geometry, r, v))
+                feed(r, _product_vector(tables, maps.index, mine, e))
     fam.closed = True
     return fam
 
@@ -483,12 +485,13 @@ def primordial_cycles(
 # shell-triangle checkers
 
 
+@functools.lru_cache(maxsize=1024)  # check_all asks once per member, with one k per dimension
 def forbidden_cells(
     geometry: QuadricGeometry, splitting: SplittingData, k: int
-) -> set[Term]:
+) -> frozenset[Term]:
     """Cells excluded from any rational cycle of dimension D + k - 1 (k >= 1)."""
     if k < 1:
-        return set()
+        return frozenset()
     js, H, L = splitting.partial_sums, geometry.tables.h, geometry.tables.l
     out: set[Term] = set()
     for q in splitting.shells():
@@ -499,7 +502,7 @@ def forbidden_cells(
             if x <= geometry.d and y <= geometry.d:
                 out.add((H[x], L[y]))
                 out.add((L[y], H[x]))
-    return out
+    return frozenset(out)
 
 
 def check_forbidden(alpha: Cycle, splitting: SplittingData) -> CheckResult:

@@ -191,6 +191,8 @@ def test_check_rejects_non_integer_dimension_and_arity(tmp_path, capsys, field, 
         ("generators", 5, "generators must be a list"),
         ("splitting", {"a": 1}, "splitting must be a list of Witt indices"),
         ("splitting", 0, "splitting must be a list of Witt indices"),
+        ("generators", [["h0 x l1"]], "generators[0] must be cycle text or a JSON cycle"),
+        ("generators", ["h0 x l1 + l1 x h0", 5], "generators[1] must be cycle text"),
     ],
 )
 def test_check_rejects_family_fields_of_the_wrong_type(tmp_path, capsys, field, value, shown):
@@ -201,6 +203,17 @@ def test_check_rejects_family_fields_of_the_wrong_type(tmp_path, capsys, field, 
     code, out, err = run(capsys, "check", str(family))
     assert code == 1 and out == ""
     assert err.startswith("error:") and shown in err
+
+
+@pytest.mark.parametrize("field", ["D", "max_arity", "generators"])
+def test_check_names_a_missing_family_field(tmp_path, capsys, field):
+    data = {"D": 6, "max_arity": 2, "generators": ["h0 x l1 + l1 x h0"]}
+    del data[field]
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(family))
+    assert code == 1 and out == ""
+    assert err == f"error: family file lacks the field {field!r}\n"
 
 
 @pytest.mark.parametrize("data", [[], [{"D": 6}], "family", 6])

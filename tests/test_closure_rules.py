@@ -115,9 +115,13 @@ def test_closure_of_nothing_holds_the_diagonal_and_its_lifts(D, top):
             assert fam.contains(permute(diagonal_lift(g, r), sigma)), (r, sigma)
 
 
+def entry(c):
+    return _Entry(c.geometry.tables.maps(c.arity), encode_cycle(c))
+
+
 def coordinate_product(a, b):
     tables = a.geometry.tables
-    return _product_vector(tables, tables.coords(a.arity)[1], _Entry(a), _Entry(b))
+    return _product_vector(tables, tables.coords(a.arity)[1], entry(a), entry(b))
 
 
 @pytest.mark.parametrize("D, r", [(D, r) for D in range(0, 7) for r in (1, 2)])
@@ -177,10 +181,10 @@ def test_masked_products_at_arity_four_skip_no_nonzero_term_product():
         pieces = pieces_by_dimension(g, 4)
         for _ in range(6):
             c = random_sum(rng, g, rng.choice(pieces), 4)
-            kept = _Entry(c)
+            kept = entry(c)
             for _ in range(5):
                 e = random_sum(rng, g, rng.choice(pieces), 4)
-                for a, b in ((kept, _Entry(e)), (_Entry(e), kept)):
+                for a, b in ((kept, entry(e)), (entry(e), kept)):
                     assert _product_vector(tables, index, a, b) == encode_cycle(mul(c, e)), (c, e)
                 products += not mul(c, e).is_zero
                 cancelled += cancels(c, e)

@@ -1,0 +1,62 @@
+"""The per-coordinate tables the closure reads, against the Cycle-level maps.
+
+For every basis term with D <= 8 and arity <= 3 (both parities of D), the
+image of its coordinate under each table of CoordinateMaps is the encoding of
+the Cycle-level image: each adjacent transpose, steenrod_total, and the
+first-projection pull-back and push-forward.  The dimension masks cut out
+homogeneous_components.  The tables are linear, so a sum of terms is checked
+too, where images cancel mod 2.  A table with one Steenrod bit flipped fails.
+"""
+
+import pytest
+
+from chowq.basis import Cycle, QuadricGeometry, apply_table, single
+from chowq.correspondence import pullback_projection, pushforward_projection
+from chowq.ring import homogeneous_components, transpose
+from chowq.steenrod import steenrod_total
+from chowq.structure import encode_cycle
+
+CASES = [(D, r) for D in range(0, 9) for r in range(1, 4)]
+
+
+def mismatches(maps, steenrod, c):
+    """The names of the maps whose table image of c differs from the Cycle-level one."""
+    v, r = encode_cycle(c), c.arity
+    want = {f"swap {i}": transpose(c, i, i + 1) for i in range(r - 1)}
+    want["steenrod"] = steenrod_total(c)
+    want["pullback"] = pullback_projection(c)
+    got = {f"swap {i}": apply_table(table, v) for i, table in enumerate(maps.swaps)}
+    got["steenrod"] = apply_table(steenrod, v)
+    got["pullback"] = v  # h^0 x c has the coordinates of c
+    if r >= 2:
+        want["pushforward"] = pushforward_projection(c)
+        got["pushforward"] = maps.pushforward(v)
+    bad = [name for name, image in want.items() if got[name] != encode_cycle(image)]
+    pieces = {dim: v & m for dim, m in enumerate(maps.dim_masks) if v & m}
+    if pieces != {dim: encode_cycle(p) for dim, p in homogeneous_components(c).items()}:
+        bad.append("masks")
+    return bad
+
+
+@pytest.mark.parametrize("D, r", CASES)
+def test_tables_agree_with_the_cycle_maps_on_every_basis_term(D, r):
+    g = QuadricGeometry(D)
+    maps = g.tables.maps(r)
+    for k, t in enumerate(maps.terms):
+        c = single(g, *t)
+        assert maps.dims[k] == c.dimension and maps.dim_masks[c.dimension] >> k & 1, t
+        assert mismatches(maps, maps.steenrod, c) == [], t
+    everything = Cycle(g, r, frozenset(maps.terms))
+    assert mismatches(maps, maps.steenrod, everything) == []
+
+
+@pytest.mark.parametrize("D", [5, 6])
+def test_a_flipped_steenrod_bit_is_caught(D):
+    g = QuadricGeometry(D)
+    maps = g.tables.maps(2)
+    t = (g.tables.h[1], g.tables.l[g.d])
+    k = maps.index[t]
+    mutated = {j: maps.steenrod[j] for j in range(len(maps.terms))}
+    mutated[k] ^= 1 << maps.index[(g.tables.h[0], g.tables.l[0])]
+    assert mismatches(maps, mutated, single(g, *t)) == ["steenrod"]
+    assert mismatches(maps, maps.steenrod, single(g, *t)) == []
