@@ -14,8 +14,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, compress, product, repeat
-from operator import ge, gt, is_, le, lt
+from itertools import chain, product
+from operator import ge, gt, le, lt
 from typing import Iterable
 
 
@@ -123,6 +123,7 @@ class FactorTables:
         self.order = _interleave(list(range(d + 1)), list(range(d + 1, 2 * d + 2)))
         self.middle_square = (D + 1) * (d + 1) % 2 == 1  # l_d * l_d = l_0
         self._maps: dict[int, CoordinateMaps] = {}
+        self._quotients: dict[int, list[tuple[BasisFactor, ...]]] = {}
 
     @cached_property
     def prod(self) -> list[list[BasisFactor | None]]:
@@ -145,8 +146,26 @@ class FactorTables:
     @cached_property
     def partners(self) -> list[tuple[BasisFactor, ...]]:
         """partners[f] lists the factors g with f * g = l_0."""
-        l0 = self.l[0]
-        return [tuple(compress(self.factors, map(is_, row, repeat(l0)))) for row in self.prod]
+        return self.quotients(self.l[0])
+
+    def quotients(self, t: BasisFactor) -> list[tuple[BasisFactor, ...]]:
+        """quotients(t)[g] lists the factors f with f * g = t, h's before l's; cached per t.
+
+        h^i h^j = h^(i+j) and h^i l_j = l_(j-i), so each g has at most one quotient
+        besides l_d for l_d * l_d = l_0.
+        """
+        got = self._quotients.get(t)
+        if got is None:
+            d, k, H, L, none = self.d, t >> 1, self.h, self.l, [()]
+            if t & 1:  # g = h^j over l_(k+j); g = l_j over h^(j-k)
+                even = [(f,) for f in L[k:]] + none * k
+                odd = none * k + [(f,) for f in H[: d + 1 - k]]
+                if k == 0 and self.middle_square:
+                    odd[d] += (L[d],)
+            else:  # g = h^j over h^(k-j)
+                even, odd = [(f,) for f in H[k::-1]] + none * (d - k), none * (d + 1)
+            got = self._quotients[t] = _interleave(even, odd)
+        return got
 
     @cached_property
     def squares(self) -> list[list[BasisFactor | None]]:

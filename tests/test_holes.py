@@ -253,8 +253,12 @@ def test_verify_parallel_matches():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace the process pool with one that records its size and maps in this process."""
+    """Replace the process pool with one that records its size and maps in this process.
+
+    It reports 2 CPUs whatever the host, so the capped pool sizes do not depend on it.
+    """
     sizes = []
+    monkeypatch.setattr(holes.os, "cpu_count", lambda: 2)
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -279,7 +283,7 @@ def test_verify_brute_merges_failures(monkeypatch, pool_sizes):
         verify_contradiction(HoleParams(4, 3, 1), method="brute", jobs=jobs)
         for jobs in (1, 2, 3)
     ]
-    assert pool_sizes == [2, 3]
+    assert pool_sizes == [2, 2]  # jobs=3 makes 3 ranges on 2 CPUs
     for cert in certs:
         assert cert["passed"] is False and cert["cases"] == 4096
         assert len(cert["failures"]) == 2048
@@ -289,7 +293,14 @@ def test_verify_brute_merges_failures(monkeypatch, pool_sizes):
 def test_verify_pool_has_at_most_one_worker_per_range(pool_sizes):
     p = HoleParams(4, 3, 1)
     cert = verify_contradiction(p, method="brute", jobs=5000)  # 4096 cases: ranges of 1
-    assert pool_sizes == [4096]
+    assert pool_sizes == [2]  # one worker per CPU, not per range
+    assert cert["passed"] and cert["cases"] == 4096
+
+
+def test_verify_pool_has_one_worker_when_the_cpu_count_is_unknown(monkeypatch, pool_sizes):
+    monkeypatch.setattr(holes.os, "cpu_count", lambda: None)
+    cert = verify_contradiction(HoleParams(4, 3, 1), method="brute", jobs=8)
+    assert pool_sizes == [1]
     assert cert["passed"] and cert["cases"] == 4096
 
 

@@ -2,9 +2,10 @@
 
 The per-geometry tables are checked against the rule-based definitions the
 kernel used before it was table-driven; those rules live only here now.  The
-brute certifier's walk over the defect selections (the target bit of xi
-updated from the block table of target bits, one flipped part at a time) is
-checked case by case against the public build_xi.
+table of target bits is checked against its definition by compose and
+delta_q^*, one composite per block.  The brute certifier's walk over the
+defect selections (the target bit of xi updated from that table, one
+flipped part at a time) is checked case by case against the public build_xi.
 """
 
 import random
@@ -12,8 +13,10 @@ import random
 import pytest
 
 from chowq.basis import QuadricGeometry, h, l, single
+from chowq.correspondence import compose, delta_pullback_q
 from chowq.holes import (
     HoleParams,
+    _inner_parts,
     _target_rows,
     _walk,
     build_mu_zero,
@@ -65,6 +68,20 @@ def rule_dimension(g, f):
     return g.D - f.index if f.kind == "h" else f.index
 
 
+def rule_target_rows(params, parts):
+    """Bit y of row x: the target cell is a term of delta_q^*(compose(inner_y, x))."""
+    target = target_cell(params)
+    inners = _inner_parts(params, parts)
+    return [
+        sum(
+            1 << y
+            for y, inner in enumerate(inners)
+            if target in delta_pullback_q(compose(inner, x))
+        )
+        for x in parts
+    ]
+
+
 # ---------------------------------------------------------------------------
 # tables against the rules
 
@@ -81,12 +98,15 @@ def test_tables_match_rules_up_to_D_40():
         for a in fs:
             assert t.dims[a] == rule_dimension(g, a)
             assert sorted(t.partners[a]) == sorted(rule_partners(g, a))
+            assert t.partners[a] == t.quotients(l(0))[a]
             assert list(t.steenrod[a]) == rule_steenrod(g, a)
             assert steenrod_factor(g, a) == rule_steenrod(g, a)
+            quotients = t.quotients(a)
             for b in fs:
                 want = rule_product(g, a, b)
                 assert t.prod[a][b] is want, (D, a, b)
                 assert mul_factor_raw(g, a, b) is want
+                assert list(quotients[b]) == [f for f in fs if rule_product(g, f, b) is a]
     assert parities == {0, 1}
 
 
@@ -156,3 +176,35 @@ def test_walk_evaluates_the_quadratic_form_of_any_table():
             assert bit == want & 1, case
             cases.append(case)
         assert cases == list(range(lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# the table of target bits against one composite per block
+
+TRIPLES_UP_TO_7 = [
+    (n, m, p) for n in range(4, 8) for m in range(3, n) for p in range(1, m - 1)
+]
+
+
+@pytest.mark.parametrize("nmp", TRIPLES_UP_TO_7)
+def test_target_rows_match_composites(nmp):
+    params = HoleParams(*nmp)
+    parts, rows = _parts(params, mu_prime_generators(params))
+    assert rows == rule_target_rows(params, parts)
+    assert rows[0] & 1  # block (0, 0) carries the target cell
+
+
+def test_target_rows_match_composites_on_mutated_generators():
+    params = HoleParams(4, 3, 1)
+    g = params.geometry
+    _, plain = _parts(params, mu_prime_generators(params))
+    lost = mu_prime_generators(params)
+    lost[3] = lost[3] + single(g, *lost[3].sorted_terms()[0])  # chi_2 on slot 1 loses a term
+    # chi_2 with h^a on slot 2, and on slot 3, each gains a term of its dimension
+    gained = mu_prime_generators(params)
+    gained[4] = gained[4] + single(g, h(0), h(1), l(4))
+    gained[5] = gained[5] + single(g, h(0), l(4), h(1))
+    for gens in (lost, gained):
+        parts, rows = _parts(params, gens)
+        assert rows == rule_target_rows(params, parts)
+        assert rows != plain
