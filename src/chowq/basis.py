@@ -100,7 +100,7 @@ def binom_mod2(n: int, k: int) -> int:
 
 
 class FactorTables:
-    """Arithmetic of the factors of one quadric dimension D, as lists indexed by code.
+    """Arithmetic of the factors of one quadric dimension D, as tables indexed by code.
 
     Products: h^(d+1) = 0, h * l_i = l_(i-1) with l_(-1) = 0, and l_d * l_d =
     (D+1)(d+1) * l_0 mod 2.  Every other l_i * l_j vanishes: writing l_j =
@@ -109,7 +109,11 @@ class FactorTables:
     C(i, k) * h^(i+k) and S^k(l_i) = C(D-i+1, k) * l_(i-k); their sums are the
     total images S(h^i) = h^i (1+h)^i and S(l_i) = l_i (1+h)^(D-i+1).  Tables
     and the coordinates of the arity-r terms are built on first use; product
-    rows are assembled from slices of the factor lists.
+    rows are assembled from slices of the factor lists.  squares[f][k] is the
+    factor S^k(f), or None where it vanishes, in rows that end at h^d and l_0;
+    steenrod[f] lists the factors of the total image, the squares of f.  Each
+    is a row per factor, built when first read: the walk over the submasks k
+    of n = i or D - i + 1, the k with C(n, k) odd (Lucas), fills squares[f].
     """
 
     def __init__(self, D: int) -> None:
@@ -122,6 +126,8 @@ class FactorTables:
         self.dims = _interleave(list(range(D, D - d - 1, -1)), list(range(d + 1)))
         self.order = _interleave(list(range(d + 1)), list(range(d + 1, 2 * d + 2)))
         self.middle_square = (D + 1) * (d + 1) % 2 == 1  # l_d * l_d = l_0
+        self.squares = _Images(self._square_row)
+        self.steenrod = _Images(lambda f: tuple(g for g in self.squares[f] if g is not None))
         self._maps: dict[int, CoordinateMaps] = {}
         self._quotients: dict[int, list[tuple[BasisFactor, ...]]] = {}
 
@@ -167,20 +173,17 @@ class FactorTables:
             got = self._quotients[t] = _interleave(even, odd)
         return got
 
-    @cached_property
-    def squares(self) -> list[list[BasisFactor | None]]:
-        """squares[f][k] is the factor S^k(f), or None where it vanishes; rows end at h^d, l_0."""
-        D, d, H, L = self.D, self.d, self.h, self.l
-        rows = []
-        for i in range(d + 1):
-            rows.append([H[i + k] if binom_mod2(i, k) else None for k in range(d - i + 1)])
-            rows.append([L[i - k] if binom_mod2(D - i + 1, k) else None for k in range(i + 1)])
-        return rows
-
-    @cached_property
-    def steenrod(self) -> list[tuple[BasisFactor, ...]]:
-        """steenrod[f] lists the factors of the total Steenrod image of f: the squares of f."""
-        return [tuple(g for g in row if g is not None) for row in self.squares]
+    def _square_row(self, f: BasisFactor) -> list[BasisFactor | None]:
+        i = f >> 1
+        n, image = (self.D - i + 1, self.l[i::-1]) if f & 1 else (i, self.h[i:])
+        row = [None] * len(image)
+        k = n = n & ((1 << len(row).bit_length()) - 1)  # a k < len(row) has no higher bit
+        while True:
+            if k < len(row):
+                row[k] = image[k]
+            if not k:
+                return row
+            k = (k - 1) & n
 
     def coords(self, r: int) -> tuple[list[Term], dict[Term, int]]:
         """The arity-r terms in canonical order (h's before l's in each slot) and their indices."""
@@ -206,13 +209,13 @@ class FactorTables:
 
 
 class _Images(dict):
-    """The images of coordinates by index, each computed by image(k) when first read."""
+    """Values by key (coordinate index or factor code), each computed by image(k) on first read."""
 
     def __init__(self, image) -> None:
         super().__init__()
         self.image = image
 
-    def __missing__(self, k: int) -> int:
+    def __missing__(self, k: int):
         got = self[k] = self.image(k)
         return got
 

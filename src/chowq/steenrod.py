@@ -2,8 +2,9 @@
 
 The rules on factors are in FactorTables.  The total operation of a term is the product
 of the total images of its factors; S^k of f_1 x ... x f_r sums S^(k_1)(f_1) x ... x
-S^(k_r)(f_r), one term or zero, over the compositions k = k_1 + ... + k_r.  Binomial
-parity is computed bitwise (Lucas): C(n, k) is odd iff k AND NOT n == 0.
+S^(k_r)(f_r), one term or zero, over the compositions k = k_1 + ... + k_r.  By Lucas,
+C(n, k) is odd iff k AND NOT n == 0, so the row of squares of a factor, built when first
+read, is filled by walking the submasks k of n; binom_mod2 is the same test on one pair.
 """
 
 from __future__ import annotations

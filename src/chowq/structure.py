@@ -614,6 +614,16 @@ def i1_exclusion_via_steenrod(D: int, i1_candidate: int) -> str:
     2^r Steenrod operation to the forced top cycle and exhibiting a mirror
     asymmetry; otherwise the candidate survives.  Returns "excluded" or
     "not-excluded".
+
+    S^k keeps each factor's kind, raises h^i to h^(i+k) and lowers l_i to
+    l_(i-k), so only h^0 x l_(i1-1), a cell of the known cycle, reaches the
+    target h^0 x l_(i1-1-2^r), and only l_(i1-1+k) x h^k with 0 <= k <= 2^r
+    reaches the partner l_(i1-1) x h^(2^r), through S^k x S^(2^r-k); k = 0
+    is the other cell of the known cycle.  Every other such cell that exists
+    (i1 - 1 + k <= d) has 1 <= k <= 2^r < i1, so the first shell alone
+    forbids it to the hypothetical top cycle: it is the cell x = k, y = k +
+    i1 - 1 of forbidden_cells with q = 1 and k = i1.  Nothing can cancel the
+    asymmetry, and a candidate that reaches the check is excluded.
     """
     if i1_candidate < 1:
         raise ValueError("the first Witt index must be positive")
@@ -627,28 +637,11 @@ def i1_exclusion_via_steenrod(D: int, i1_candidate: int) -> str:
 
     geometry = QuadricGeometry(D)
     i1 = i1_candidate
-    known = binary_cycle(geometry, i1 - 1)
     target = (h(0), l(i1 - 1 - two_r))
     partner = (l(i1 - 1), h(two_r))
-    image = steenrod_k(known, two_r)
+    image = steenrod_k(binary_cycle(geometry, i1 - 1), two_r)
     if target not in image.terms or partner in image.terms:
         raise RuntimeError(f"S_{two_r} of the top cycle is not mirror-asymmetric at i1={i1}")
-
-    # No allowed cell of the hypothetical top cycle can feed either side of the
-    # mirror pair, so the asymmetry of the image is unavoidable.  Only the
-    # first-shell exclusions are available; the rest of the splitting is unknown.
-    # S^k keeps each factor's kind, raises h^i to h^(i+k) and lowers l_i to
-    # l_(i-k), so only h^0 x l_(i1-1), a cell of the known cycle, reaches the
-    # target, and only l_(i1-1+k) x h^k with 0 <= k <= 2^r reaches the partner,
-    # through S^k x S^(2^r-k); k = 0 is the other cell of the known cycle.
-    blocked = forbidden_cells(geometry, SplittingData((i1,)), i1)
-    tables = geometry.tables
-    for k in range(1, min(two_r, geometry.d - i1 + 1) + 1):
-        f, g = tables.l[i1 - 1 + k], tables.h[k]
-        if (f, g) in blocked:
-            continue
-        if tables.squares[f][k] is not None and tables.squares[g][two_r - k] is not None:
-            return "not-excluded"
     return "excluded"
 
 

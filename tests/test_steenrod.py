@@ -97,6 +97,21 @@ def test_square_table_follows_the_binomial_rule():
             assert tables.steenrod[f] == tuple(g for g in tables.squares[f] if g is not None)
 
 
+def test_square_rows_follow_the_binomial_rule_at_D_4092():
+    tables = QuadricGeometry(4092).tables
+    d = tables.d
+    rows = [(h(0), 0), (h(d), d), (l(0), 4093), (l(d), 4092 - d + 1)]
+    rows += [(l(2**j - 1), 4092 - 2**j + 2) for j in range(1, (d + 1).bit_length())]
+    for f, n in rows:
+        i = f.index
+        if f.kind == "h":
+            image = [h(i + k) for k in range(d - i + 1)]
+        else:
+            image = [l(i - k) for k in range(i + 1)]
+        assert tables.squares[f] == [g if math.comb(n, k) % 2 else None for k, g in enumerate(image)]
+        assert tables.steenrod[f] == tuple(g for g in tables.squares[f] if g is not None)
+
+
 @pytest.mark.parametrize("D", range(0, 13))
 def test_graded_matches_total_square_oracle(D):
     # Every basis term of arity <= 3 and every order from -1 to r*D + 1.  The two

@@ -329,6 +329,38 @@ def test_allowed_first_witt_indices():
         allowed_first_witt_indices(2)
 
 
+def test_partner_cells_of_an_excluded_candidate_are_first_shell_forbidden():
+    # S^k x S^(2^r-k) reaches the partner l_(i1-1) x h^(2^r) only from l_(i1-1+k) x h^k,
+    # so the exclusion needs each such cell with k >= 1 to be forbidden by the first shell
+    for dim in range(3, 301):
+        g = QuadricGeometry(dim - 2)
+        for i1 in range(1, g.d + 2):
+            two_r = (dim - i1) & -(dim - i1)
+            if i1 <= two_r:
+                continue
+            blocked = forbidden_cells(g, SplittingData((i1,)), i1)
+            for k in range(1, min(two_r, g.d - i1 + 1) + 1):
+                assert (l(i1 - 1 + k), h(k)) in blocked, (dim, i1, k)
+
+
+@pytest.mark.parametrize(
+    "row, fix",  # S_1 of h^0 x l_1 + l_1 x h^0 at D=5 loses the target, or gains the partner
+    [(l(1), [l(1), None]), (h(0), [h(0), h(1), None])],
+    ids=["target-lost", "partner-gained"],
+)
+def test_i1_exclusion_raises_without_the_mirror_asymmetry(monkeypatch, row, fix):
+    monkeypatch.setitem(QuadricGeometry(5).tables.squares, row, fix)
+    with pytest.raises(RuntimeError, match="mirror-asymmetric"):
+        i1_exclusion_via_steenrod(5, 2)
+
+
+@pytest.mark.parametrize("dim", [1022, 2046, 4094])
+def test_allowed_first_witt_indices_at_scale(dim):
+    """i1 <= 2^v, the largest power of 2 dividing dim - i1, over the candidates up to dim / 2."""
+    want = {i1 for i1 in range(1, dim // 2 + 1) if i1 <= (dim - i1) & -(dim - i1)}
+    assert allowed_first_witt_indices(dim) == want
+
+
 # ---------------------------------------------------------------------------
 # combined driver
 
