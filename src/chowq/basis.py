@@ -448,24 +448,16 @@ def l(i: int) -> BasisFactor:
 def enumerate_basis(
     geometry: QuadricGeometry, r: int, dim: int | None = None
 ) -> list[BasisElement]:
-    """All arity-r basis elements in canonical order, optionally only those of one dimension."""
+    """All arity-r basis elements in canonical order, optionally filtered to one dimension."""
     if r < 1:
         raise ArityError(f"arity must be at least 1, got {r}")
-    if dim is None:
-        return [BasisElement(geometry, term) for term in product(geometry.factors(), repeat=r)]
-    D, tables = geometry.D, geometry.tables
-    if not 0 <= dim <= r * D:
-        raise ValueError(f"dimension {dim} out of range [0, {r * D}]")
-    # extend each prefix by the factors of dimension low..rest, a slice of the h's and of the l's
-    level = [((), dim)]
-    for left in reversed(range(r)):  # the slots still to fill after this one
-        step = []
-        for term, rest in level:
-            low = max(rest - left * D, 0)
-            for f in tables.h[max(D - rest, 0) : max(D - low + 1, 0)] + tables.l[low : rest + 1]:
-                step.append((term + (f,), rest - tables.dims[f]))
-        level = step
-    return [BasisElement(geometry, term) for term, _ in level]
+    if dim is not None and not 0 <= dim <= r * geometry.D:
+        raise ValueError(f"dimension {dim} out of range [0, {r * geometry.D}]")
+    return [
+        BasisElement(geometry, term)
+        for term in product(geometry.factors(), repeat=r)
+        if dim is None or term_dimension(geometry, term) == dim
+    ]
 
 
 _FACTOR_RE = re.compile(r"([hl])(\d+)")

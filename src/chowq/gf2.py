@@ -53,9 +53,6 @@ class Gf2Subspace:
         """Echelon rows sorted by pivot position."""
         return [self._rows[p] for p in sorted(self._rows)]
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.rows())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gf2Subspace):
             return NotImplemented

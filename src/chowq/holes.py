@@ -35,6 +35,7 @@ from .basis import (
     l,
     render_cycle,
     single,
+    term_dimension,
 )
 from .correspondence import compose, delta_pullback_q
 from .ring import external_product, mul, sym, transpose
@@ -46,26 +47,22 @@ BRUTE_THRESHOLD = 1 << 20
 
 @dataclass(frozen=True)
 class HoleParams:
-    """Parameters (n, m, p) with the derived geometry and counts."""
+    """Parameters (n, m, p) with the derived geometry and counts.
+
+    3 <= m <= n-1 and 1 <= p <= m-2 force n >= 4 and make every divisibility the
+    construction uses an identity: d = 2^n - b + a - 1, so d - a + 1 = 2^n - b,
+    d - b - a + 1 = 2^n - c, b / 4a = 2^(m-p-2) and d + 1 = 2^n - b + a, a < b.
+    """
 
     n: int
     m: int
     p: int
 
     def __post_init__(self) -> None:
-        if not (self.n >= 4 and 3 <= self.m <= self.n - 1 and 1 <= self.p <= self.m - 2):
+        if not (3 <= self.m <= self.n - 1 and 1 <= self.p <= self.m - 2):
             raise ValueError(
                 f"need n >= 4, 3 <= m <= n-1, 1 <= p <= m-2; got {(self.n, self.m, self.p)}"
             )
-        derived = {
-            "b divides d - a + 1": (self.d - self.a + 1) % self.b == 0,
-            "c divides d - b - a + 1": (self.d - self.b - self.a + 1) % self.c == 0,
-            "4a divides b": self.b % (4 * self.a) == 0,
-            "d + 1 = a mod b": (self.d + 1) % self.b == self.a % self.b,
-        }
-        broken = [name for name, holds in derived.items() if not holds]
-        if broken:
-            raise ValueError(f"derived constants violate {', '.join(broken)}")
 
     @property
     def a(self) -> int:
@@ -109,33 +106,24 @@ class HoleParams:
 
 
 def forced_witt_sequence(n: int, dim: int) -> SplittingData:
-    """Witt indices forced for a form of dimension 2^n + 2^(n-1) + ... + 2^m + 2^p."""
-    bits = [i for i in range(dim.bit_length()) if dim >> i & 1]
-    if len(bits) < 3:
-        raise ValueError(f"dimension {dim} is not of the required shape")
-    p = bits[0]
-    upper = bits[1:]
-    m = upper[0]
-    if upper != list(range(m, n + 1)) or not (3 <= m <= n - 1 and 1 <= p <= m - 2):
-        raise ValueError(
-            f"dimension {dim} is not 2^{n} + ... + 2^m + 2^p with valid (m, p)"
-        )
-    indices = (1 << (p - 1),) + tuple(1 << i for i in range(m - 1, n))
-    return SplittingData(indices)
+    """Witt indices forced for dim = 2^n + ... + 2^m + 2^p, p and m its two lowest bits."""
+    low = dim & -dim
+    p, m = low.bit_length() - 1, ((dim ^ low) & -(dim ^ low)).bit_length() - 1
+    params = HoleParams(n, m, p)
+    if params.dim_form != dim:
+        raise ValueError(f"dimension {dim} is not 2^{n} + ... + 2^{m} + 2^{p}")
+    return SplittingData((params.a,) + tuple(1 << i for i in range(m - 1, n)))
 
 
 def build_mu_zero(params: HoleParams) -> Cycle:
-    """Symmetrized staircase part of the triple-power construction cycle."""
+    """Symmetrized staircase part of the construction cycle; each term has dimension 2D + b - 1."""
     g = params.geometry
     a, b = params.a, params.b
     terms = [
         (h(0), h((i - 1) * b + a), l(i * b + a - 1))
         for i in range(1, params.n_b + 1)
     ]
-    mu0 = sym(Cycle(g, 3, frozenset(terms)))
-    if not mu0.is_homogeneous:
-        raise RuntimeError("the staircase cycle mu0 is not homogeneous")
-    return mu0
+    return sym(Cycle(g, 3, frozenset(terms)))
 
 
 def build_chi(params: HoleParams, j: int) -> Cycle:
@@ -174,13 +162,9 @@ def build_xi(mu: Cycle, params: HoleParams) -> Cycle:
     if mu.arity != 3:
         raise ValueError("the construction cycle must have arity 3")
     (inner,) = _inner_parts(params, [mu])
-    composite = compose(inner, mu)
-    xi = delta_pullback_q(composite)
-    if not xi.is_zero:
-        if not xi.is_homogeneous:
-            raise ValueError("xi is not homogeneous; mu must be homogeneous")
-        if xi.dimension != 2 * params.d + params.b - 2 * params.a - 1:
-            raise ValueError(f"xi has dimension {xi.dimension}, not that of the target cell")
+    xi = delta_pullback_q(compose(inner, mu))  # homogeneous: steenrod_k refuses any other mu
+    if not xi.is_zero and xi.dimension != term_dimension(params.geometry, target_cell(params)):
+        raise ValueError(f"xi has dimension {xi.dimension}, not that of the target cell")
     return xi
 
 
@@ -270,8 +254,10 @@ def verify_contradiction(
     """Certify that the target cell survives in xi for every admissible defect part.
 
     method "brute" enumerates all 2^(3J) defect selections; "bilinear" checks
-    the parity of the target coefficient block by block.  The default picks
-    brute force below BRUTE_THRESHOLD cases.
+    the parity of the target coefficient block by block: B00 = 1 and every
+    other block 0, so the failures, in (iy, ix) order, are the set bits of the
+    rows after bit 0 of row 0 flips.  The default picks brute force below
+    BRUTE_THRESHOLD cases.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -312,10 +298,16 @@ def verify_contradiction(
         cert["failures"] = sorted(case for _, fails in results for case in fails)
         cert["passed"] = cert["cases"] == n_cases and not cert["failures"]
     else:
-        cells = [(ix, iy) for iy in range(len(parts)) for ix in range(len(parts))]
-        cert["blocks"] = {f"{ix},{iy}": rows[ix] >> iy & 1 for ix, iy in cells}
+        span = range(len(parts))
+        cert["blocks"] = {f"{ix},{iy}": rows[ix] >> iy & 1 for iy in span for ix in span}
         cert["cases"] = n_cases
-        cert["failures"] = [(ix, iy) for ix, iy in cells if rows[ix] >> iy & 1 != (ix == iy == 0)]
+        rows[0] ^= 1  # the demand is B00 = 1 and every other block 0
+        failures = []
+        for ix, row in enumerate(rows):
+            while row:
+                failures.append((ix, (row & -row).bit_length() - 1))
+                row &= row - 1
+        cert["failures"] = sorted(failures, key=lambda cell: cell[::-1])
         cert["passed"] = not cert["failures"]
     return cert
 
@@ -344,9 +336,7 @@ def small_splitting_pattern(n: int, m: int) -> set[int]:
 
 def vishik_pattern(n: int, m: int) -> set[int]:
     """The realizable splitting pattern with an even-dimensional tail up to m * 2^n."""
-    out = small_splitting_pattern(n, 1)
-    out.update(range(1 << (n + 1), m * (1 << n) + 1, 2))
-    return out
+    return small_splitting_pattern(n, 1) | dim_In_set(n, m << n)
 
 
 def gap_certificate(pattern: set[int]) -> tuple[bool, list[tuple[int, int, int]]]:

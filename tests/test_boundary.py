@@ -25,8 +25,29 @@ from chowq.basis import (
     parse_cycle,
     render_cycle,
     single,
+    zero,
 )
-from chowq.structure import SplittingData, check_forbidden
+from chowq.correspondence import (
+    compose,
+    derivative,
+    pullback_diagonal,
+    pushforward_diagonal,
+    pushforward_projection,
+)
+from chowq.holes import HoleParams, build_mu_zero, build_xi
+from chowq.isotropy import IsotropySignature, in_multi
+from chowq.ring import external_product, mul
+from chowq.structure import (
+    CheckResult,
+    FamilyError,
+    RationalFamily,
+    SplittingData,
+    check_forbidden,
+    check_known,
+    check_minimal_diagonal,
+    closure,
+    minimal_cycles,
+)
 
 
 def test_factor_repr_and_fields():
@@ -124,3 +145,82 @@ def test_factors_survive_pickle_and_copy():
         assert copy.copy(f) is f and copy.deepcopy(f) is f
     c = single(QuadricGeometry(6), h(1), l(2))
     assert pickle.loads(pickle.dumps(c)) == c
+
+
+# ---------------------------------------------------------------------------
+# guards of the cycle operations and checkers
+
+
+def test_composition_and_push_pull_guards():
+    g = QuadricGeometry(6)
+    with pytest.raises(GeometryError):
+        compose(single(g, h(0), l(1)), single(QuadricGeometry(4), h(0), l(1)))
+    with pytest.raises(ArityError, match="at least 1"):
+        compose(zero(g, 0), single(g, h(0), l(1)))
+    with pytest.raises(ArityError):
+        pushforward_projection(single(g, l(0)))
+    with pytest.raises(ArityError):
+        pullback_diagonal(single(g, h(1)))
+    with pytest.raises(ArityError):
+        pushforward_diagonal(zero(g, 0))
+
+
+def test_derivative_guards():
+    g = QuadricGeometry(6)
+    with pytest.raises(ArityError):
+        derivative(single(g, h(0), h(0), l(3)), 0, 0)
+    nothing = zero(g, 2)
+    assert derivative(nothing, 5, 5) is nothing  # a zero cycle comes back unchanged
+    with pytest.raises(ValueError, match="homogeneous"):
+        derivative(single(g, l(0), l(1)) + single(g, l(0), l(2)), 0, 0)
+    with pytest.raises(ValueError, match="at least D"):
+        derivative(single(g, l(0), l(1)), 0, 0)
+
+
+def test_inclusion_checks_the_inner_geometry_and_arity():
+    sig = IsotropySignature(1, 6, (1, 0))  # one core position: inner arity 1 over D = 4
+    with pytest.raises(GeometryError):
+        in_multi(single(QuadricGeometry(6), h(0)), sig)
+    with pytest.raises(ArityError, match="inner arity 1"):
+        in_multi(single(QuadricGeometry(4), h(0), h(0)), sig)
+
+
+def test_scalar_product_and_external_product_across_geometries():
+    g = QuadricGeometry(6)
+    one = Cycle(g, 0, frozenset({()}))
+    assert mul(one, one) == one
+    assert mul(one, zero(g, 0)).is_zero
+    with pytest.raises(GeometryError):
+        external_product(single(g, h(0)), single(QuadricGeometry(4), h(0)))
+
+
+def test_family_guards_and_check_results():
+    g = QuadricGeometry(6)
+    family = RationalFamily(g, 2)
+    for bad in (single(g, h(0), h(0), h(0)), Cycle(g, 0, frozenset({()}))):
+        with pytest.raises(ArityError, match="outside 1..2"):
+            family.add(bad)
+    flat = closure(RationalFamily(g, 1))
+    with pytest.raises(FamilyError, match="need an arity-2 group"):
+        minimal_cycles(flat)
+    assert check_minimal_diagonal(flat) == CheckResult(
+        "minimal_diagonal", False, ("minimal cycles need an arity-2 group",)
+    )
+    # d + 1 = 5 is odd, so a first Witt index of 2 cannot belong to a small form
+    assert check_known(closure(RationalFamily(QuadricGeometry(8), 2)), SplittingData((2,))) == (
+        CheckResult("known", False, ("divisibility",))
+    )
+    assert CheckResult("springer", True) and not CheckResult("springer", False, (0,))
+
+
+def test_build_xi_guards():
+    params = HoleParams(4, 3, 1)
+    g = params.geometry
+    # h^0 x h^3 x l_4 has dimension 49, not mu0's 51, so its non-zero xi has dimension 21
+    with pytest.raises(ValueError, match="xi has dimension 21"):
+        build_xi(single(g, h(0), h(3), l(4)), params)
+    # an inhomogeneous mu stops at the Steenrod square, so xi is never inhomogeneous
+    with pytest.raises(ValueError, match="homogeneous input"):
+        build_xi(build_mu_zero(params) + single(g, h(0), h(3), l(4)), params)
+    with pytest.raises(ValueError, match="arity 3"):
+        build_xi(single(g, h(0), l(4)), params)

@@ -30,6 +30,11 @@ def test_mul(capsys):
     assert code == 0 and out.strip() == "h3 x l3"
 
 
+def test_mul_cannot_infer_the_arity_of_zero(capsys):
+    code, out, err = run(capsys, "mul", "-D", "4", "0", "h1")
+    assert code == 1 and out == "" and "pass --arity" in err
+
+
 def test_mul_json(capsys):
     code, out, _ = run(capsys, "mul", "-D", "8", "--json", "h1 x l3", "h2 x h0")
     assert code == 0
@@ -127,6 +132,13 @@ def test_check_passes(tmp_path, capsys):
     assert code == 0
     assert "springer: PASS" in out
     assert "FAIL" not in out
+
+
+def test_check_skips_a_zero_generator(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(dict(KNOWN, generators=["0"] + KNOWN["generators"])))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and "springer: PASS" in out and "FAIL" not in out
 
 
 def test_check_json(tmp_path, capsys):

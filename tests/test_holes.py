@@ -58,6 +58,42 @@ def test_params_validation():
         HoleParams(*ok)
 
 
+def test_params_range_makes_every_divisibility_an_identity():
+    for n in range(4, 41):
+        for m in range(3, n):
+            for p in range(1, m - 1):
+                q = HoleParams(n, m, p)
+                assert q.d == (1 << n) - q.b + q.a - 1
+                assert q.d - q.a + 1 == (1 << n) - q.b and (q.d - q.a + 1) % q.b == 0
+                assert q.d - q.b - q.a + 1 == (1 << n) - q.c and (q.d - q.b - q.a + 1) % q.c == 0
+                assert q.b == 4 * q.a << (m - p - 2)
+                assert q.d + 1 == (1 << n) - q.b + q.a and (q.d + 1) % q.b == q.a < q.b
+    for n in range(4, 41):
+        for bad in ((3, 3, 1), (n, n, 1), (n, n - 1, n - 2)):  # n = 3, m = n, p = m - 1
+            with pytest.raises(ValueError, match="need n >= 4"):
+                HoleParams(*bad)
+
+
+def test_forced_witt_sequence_reads_the_params_back():
+    for n in range(4, 13):
+        for m in range(3, n):
+            for p in range(1, m - 1):
+                q = HoleParams(n, m, p)
+                want = (q.a,) + tuple(1 << i for i in range(m - 1, n))
+                assert forced_witt_sequence(n, q.dim_form).witt_indices == want
+    # zero, negative, odd, a power of two, bits 1, 3, 5 (no 2^4), and -38 (bits 1, 3, 4)
+    for n, dim in [(4, 0), (4, -26), (4, 27), (4, 32), (5, 42), (4, -38)]:
+        with pytest.raises(ValueError, match="need n >= 4|is not 2"):
+            forced_witt_sequence(n, dim)
+
+
+def test_vishik_pattern_is_the_small_pattern_with_the_even_tail():
+    for n in range(0, 8):
+        for m in range(-1, 10):
+            tail = set(range(1 << (n + 1), m * (1 << n) + 1, 2))
+            assert vishik_pattern(n, m) == small_splitting_pattern(n, 1) | tail
+
+
 def test_forced_witt_sequence():
     s = forced_witt_sequence(4, 26)
     assert s.witt_indices == (1, 4, 8)
@@ -227,6 +263,33 @@ def test_brute_and_bilinear_agree_on_every_J4_triple(nmp, monkeypatch):
     bilinear = verify_contradiction(p, method="bilinear")
     assert brute["passed"] is False and bilinear["passed"] is False
     assert brute["failures"] == [case for case in range(4096) if case >> 3 & 1]
+
+
+def _less_first_term(x):
+    return x + single(x.geometry, *x.sorted_terms()[0])
+
+
+MUTATIONS = {  # failures at (0, 4); at (3J, 0) and (0, 4); at (0, 0)
+    "chi_2": ("mu_prime_generators", _mutated_generators),
+    "every generator": (
+        "mu_prime_generators",
+        lambda params: [_less_first_term(g) for g in mu_prime_generators(params)],
+    ),
+    "mu0": ("build_mu_zero", lambda params: _less_first_term(build_mu_zero(params))),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("nmp", J4_PARAMS + [(7, 6, 1)])
+def test_bilinear_failures_are_the_blocks_off_the_demand(nmp, mutation, monkeypatch):
+    """The old scan over every cell, rebuilt from the blocks, is the oracle."""
+    monkeypatch.setattr(holes, *MUTATIONS[mutation])
+    p = HoleParams(*nmp)
+    cert = verify_contradiction(p, method="bilinear")
+    cells = [(ix, iy) for iy in range(3 * p.j_count + 1) for ix in range(3 * p.j_count + 1)]
+    assert list(cert["blocks"]) == [f"{ix},{iy}" for ix, iy in cells]
+    want = [(ix, iy) for ix, iy in cells if cert["blocks"][f"{ix},{iy}"] != (ix == iy == 0)]
+    assert want and cert["failures"] == want and cert["passed"] is False
 
 
 @pytest.mark.parametrize("nmp", [(7, 6, 1), (7, 3, 1), (9, 3, 1)])
