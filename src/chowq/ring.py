@@ -7,6 +7,7 @@ FactorTables for the rules); higher arities multiply factorwise.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .basis import (
@@ -88,8 +89,9 @@ def permute(alpha: Cycle, sigma: Sequence[int]) -> Cycle:
     """
     if sorted(sigma) != list(range(alpha.arity)):
         raise ValueError(f"{sigma!r} is not a permutation of 0..{alpha.arity - 1}")
-    acc = frozenset(tuple(term[j] for j in sigma) for term in alpha.terms)
-    return Cycle(alpha.geometry, alpha.arity, acc)
+    if alpha.arity < 2:  # the identity; itemgetter of one index gives no tuple
+        return alpha
+    return Cycle(alpha.geometry, alpha.arity, frozenset(map(itemgetter(*sigma), alpha.terms)))
 
 
 def transpose(alpha: Cycle, i: int = 0, j: int = 1) -> Cycle:

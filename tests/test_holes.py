@@ -54,6 +54,9 @@ def test_params_validation():
     for bad in [(3, 3, 1), (4, 3, 2), (4, 2, 1), (4, 4, 1), (5, 4, 3)]:
         with pytest.raises(ValueError):
             HoleParams(*bad)
+    for bad in [(4, 3, True), (5, 4, True), (4.0, 3, 1), (4, 3.0, 1), (4, 3, 1.0), ("4", 3, 1)]:
+        with pytest.raises(ValueError, match="need n >= 4"):  # bools and non-ints
+            HoleParams(*bad)
     for ok in VALID_PARAMS:
         HoleParams(*ok)
 
@@ -292,13 +295,41 @@ def test_bilinear_failures_are_the_blocks_off_the_demand(nmp, mutation, monkeypa
     assert want and cert["failures"] == want and cert["passed"] is False
 
 
+def _oracle_inner_parts(p, parts):
+    weight = single(p.geometry, h(0), h(0), h(p.b - 1))
+    return [mul(steenrod_k_oracle(x, 2 * p.a), weight) for x in parts]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("nmp", J4_PARAMS + [(7, 6, 1)])
+def test_inner_parts_of_mutated_sets_match_total_square_oracle(nmp, mutation, monkeypatch):
+    """A square is reused for a part equal to a transpose of an earlier one, not by position."""
+    monkeypatch.setattr(holes, *MUTATIONS[mutation])
+    p = HoleParams(*nmp)
+    parts = [holes.build_mu_zero(p)] + holes.mu_prime_generators(p)
+    assert holes._inner_parts(p, parts) == _oracle_inner_parts(p, parts)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("nmp", J4_PARAMS)
+def test_target_rows_of_mutated_sets_match_composite_oracle(nmp, mutation, monkeypatch):
+    """Bit y of row x is the target bit of the pulled-back composite, built in full."""
+    monkeypatch.setattr(holes, *MUTATIONS[mutation])
+    p = HoleParams(*nmp)
+    parts = [holes.build_mu_zero(p)] + holes.mu_prime_generators(p)
+    inners, target = _oracle_inner_parts(p, parts), target_cell(p)
+    want = [
+        sum(1 << y for y, s in enumerate(inners) if target in delta_pullback_q(compose(s, x)))
+        for x in parts
+    ]
+    assert holes._target_rows(p, parts) == want
+
+
 @pytest.mark.parametrize("nmp", [(7, 6, 1), (7, 3, 1), (9, 3, 1)])
 def test_inner_parts_match_total_square_oracle(nmp):
     p = HoleParams(*nmp)
     parts = [build_mu_zero(p)] + mu_prime_generators(p)
-    weight = single(p.geometry, h(0), h(0), h(p.b - 1))
-    want = [mul(steenrod_k_oracle(x, 2 * p.a), weight) for x in parts]
-    assert holes._inner_parts(p, parts) == want
+    assert holes._inner_parts(p, parts) == _oracle_inner_parts(p, parts)
 
 
 def test_verify_bilinear_at_D_1016():

@@ -189,6 +189,15 @@ def test_splitting_readoff_insufficient():
         splitting_readoff(RationalFamily(QuadricGeometry(4), 2))  # not closed
 
 
+def test_splitting_readoff_finds_no_step_in_a_span_without_the_diagonal():
+    # a closure holds h^0 x h^j1 x .. x l_0 (the diagonal times slot generators),
+    # so only a span flagged closed as given can lack every step
+    fam = RationalFamily(QuadricGeometry(4), 2)
+    fam.closed = True
+    with pytest.raises(FamilyError, match="no step found at arity 2"):
+        splitting_readoff(fam)
+
+
 # ---------------------------------------------------------------------------
 # minimal and primordial cycles
 
@@ -245,6 +254,20 @@ def test_primordial_detects_missing_top_cell():
         primordial_cycles(fam, SplittingData((2, 2)))
 
 
+def test_primordial_reports_a_first_shell_cycle_claimed_again():
+    # A holds the top cells of both width-2 shells; its derivatives cancel at the
+    # diagonal cell 3 (from h^2 x l_3 and h^3 x l_4), so shell 2 picks A again,
+    # which takes shell 1's claim and cancels A out; B then covers every cell alone
+    g = QuadricGeometry(8)
+    a = sym(single(g, h(0), l(1)) + single(g, h(2), l(3)) + single(g, h(3), l(4)))
+    b = diagonal_essential_sum(g)
+    fam = RationalFamily(g, 2, {2: Gf2Subspace([encode_cycle(a), encode_cycle(b)])})
+    fam.closed = True  # the span as given
+    assert minimal_cycles(fam) == [b, a]
+    with pytest.raises(FamilyError, match="the first shell produced no primordial cycle"):
+        primordial_cycles(fam, SplittingData((2, 2, 1)))
+
+
 # ---------------------------------------------------------------------------
 # shell-triangle checkers
 
@@ -268,6 +291,13 @@ def test_pairs():
     assert check_pairs(known_generator(g, 2), s).passed
     res = check_pairs(single(g, h(0), l(1)), s)
     assert not res.passed
+
+
+def test_pairs_skip_the_cells_past_d_of_a_splitting_too_long():
+    g = QuadricGeometry(6)  # d = 3; the pairs of x = 1, 2, 3 stay
+    s = SplittingData((g.d + 2,))
+    assert check_pairs(diagonal_essential_sum(g), s).passed
+    assert check_pairs(single(g, h(1), l(1)), s).witnesses == (((h(1), l(1)), (l(3), h(3))),)
 
 
 def test_even_essential():
