@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, product
-from operator import ge, gt, le, lt
+from operator import ge, gt, itemgetter, le, lt
 from typing import Iterable
 
 
@@ -107,13 +107,14 @@ class FactorTables:
     h^(d-j) * l_d forces l_i * l_j = h^(d-i) h^(d-j) l_d^2 = 0 for (i, j) !=
     (d, d).  Graded Steenrod squares, each one factor or zero: S^k(h^i) =
     C(i, k) * h^(i+k) and S^k(l_i) = C(D-i+1, k) * l_(i-k); their sums are the
-    total images S(h^i) = h^i (1+h)^i and S(l_i) = l_i (1+h)^(D-i+1).  Tables
-    and the coordinates of the arity-r terms are built on first use; product
-    rows are assembled from slices of the factor lists.  squares[f][k] is the
-    factor S^k(f), or None where it vanishes, in rows that end at h^d and l_0;
-    steenrod[f] lists the factors of the total image, the squares of f.  Each
-    is a row per factor, built when first read: the walk over the submasks k
-    of n = i or D - i + 1, the k with C(n, k) odd (Lucas), fills squares[f].
+    total images S(h^i) = h^i (1+h)^i and S(l_i) = l_i (1+h)^(D-i+1).  prod is
+    the whole product table, built on first use from slices of the factor
+    lists.  Every keyed table is an _Images, one entry built when first read:
+    squares[f][k] is the factor S^k(f), or None where it vanishes, in rows that
+    end at h^d and l_0, filled by the walk over the submasks k of n = i or
+    D - i + 1, the k with C(n, k) odd (Lucas); steenrod[f] lists the factors of
+    the total image, the squares of f; quotients[t][g] lists the f with
+    f * g = t; maps[r] is the CoordinateMaps of the arity-r terms.
     """
 
     def __init__(self, D: int) -> None:
@@ -128,8 +129,8 @@ class FactorTables:
         self.middle_square = (D + 1) * (d + 1) % 2 == 1  # l_d * l_d = l_0
         self.squares = _Images(self._square_row)
         self.steenrod = _Images(lambda f: tuple(g for g in self.squares[f] if g is not None))
-        self._maps: dict[int, CoordinateMaps] = {}
-        self._quotients: dict[int, list[tuple[BasisFactor, ...]]] = {}
+        self.quotients = _Images(self._quotient_row)
+        self.maps = _Images(lambda r: CoordinateMaps(self, r))
 
     @cached_property
     def prod(self) -> list[list[BasisFactor | None]]:
@@ -145,33 +146,23 @@ class FactorTables:
         return rows
 
     @cached_property
-    def times(self) -> list:
-        """times[a] is the map b -> a * b, as prod[a].__getitem__."""
-        return [row.__getitem__ for row in self.prod]
-
-    @cached_property
     def partners(self) -> list[tuple[BasisFactor, ...]]:
         """partners[f] lists the factors g with f * g = l_0."""
-        return self.quotients(self.l[0])
+        return self.quotients[self.l[0]]
 
-    def quotients(self, t: BasisFactor) -> list[tuple[BasisFactor, ...]]:
-        """quotients(t)[g] lists the factors f with f * g = t, h's before l's; cached per t.
-
-        h^i h^j = h^(i+j) and h^i l_j = l_(j-i), so each g has at most one quotient
-        besides l_d for l_d * l_d = l_0.
-        """
-        got = self._quotients.get(t)
-        if got is None:
-            d, k, H, L, none = self.d, t >> 1, self.h, self.l, [()]
-            if t & 1:  # g = h^j over l_(k+j); g = l_j over h^(j-k)
-                even = [(f,) for f in L[k:]] + none * k
-                odd = none * k + [(f,) for f in H[: d + 1 - k]]
-                if k == 0 and self.middle_square:
-                    odd[d] += (L[d],)
-            else:  # g = h^j over h^(k-j)
-                even, odd = [(f,) for f in H[k::-1]] + none * (d - k), none * (d + 1)
-            got = self._quotients[t] = _interleave(even, odd)
-        return got
+    def _quotient_row(self, t: BasisFactor) -> list[tuple[BasisFactor, ...]]:
+        """Row g lists the factors f with f * g = t, h's before l's.  h^i h^j = h^(i+j)
+        and h^i l_j = l_(j-i), so each g has at most one quotient besides l_d for
+        l_d * l_d = l_0."""
+        d, k, H, L, none = self.d, t >> 1, self.h, self.l, [()]
+        if t & 1:  # g = h^j over l_(k+j); g = l_j over h^(j-k)
+            even = [(f,) for f in L[k:]] + none * k
+            odd = none * k + [(f,) for f in H[: d + 1 - k]]
+            if k == 0 and self.middle_square:
+                odd[d] += (L[d],)
+        else:  # g = h^j over h^(k-j)
+            even, odd = [(f,) for f in H[k::-1]] + none * (d - k), none * (d + 1)
+        return _interleave(even, odd)
 
     def _square_row(self, f: BasisFactor) -> list[BasisFactor | None]:
         i = f >> 1
@@ -185,31 +176,9 @@ class FactorTables:
                 return row
             k = (k - 1) & n
 
-    def coords(self, r: int) -> tuple[list[Term], dict[Term, int]]:
-        """The arity-r terms in canonical order (h's before l's in each slot) and their indices."""
-        maps = self.maps(r)
-        return maps.terms, maps.index
-
-    def maps(self, r: int) -> "CoordinateMaps":
-        """The arity-r coordinates and the closure's linear maps on them."""
-        got = self._maps.get(r)
-        if got is None:
-            got = self._maps[r] = CoordinateMaps(self, r)
-        return got
-
-    @cached_property
-    def essential_masks(self) -> dict[int, int]:
-        """Coordinate masks of the essential arity-2 terms, those with an l factor, by dimension."""
-        dims, masks = self.dims, {}
-        for i, (a, b) in enumerate(self.coords(2)[0]):
-            if (a | b) & 1:
-                dim = dims[a] + dims[b]
-                masks[dim] = masks.get(dim, 0) | 1 << i
-        return masks
-
 
 class _Images(dict):
-    """Values by key (coordinate index or factor code), each computed by image(k) on first read."""
+    """Values by key (coordinate index, factor code or arity), each image(k) on first read."""
 
     def __init__(self, image) -> None:
         super().__init__()
@@ -223,13 +192,14 @@ class _Images(dict):
 class CoordinateMaps:
     """The arity-r terms in coordinate order, and linear maps on their coordinates.
 
-    Bit k of a vector is terms[k]; dims[k] is its dimension and dim_masks[e] has
-    the bits of dimension e.  Entry k of swaps[i] (slots i and i + 1 swapped) and of
-    steenrod (the total operation) is the vector of the image of term k, computed
-    when first read, so a closure that meets few coordinates builds few entries;
-    apply_table maps a vector through one.  h^0 comes first in slot 0, so the
-    first-projection pull-back h^0 x c keeps the coordinates of c, and the terms
-    l_0 x t form one block in the order of the t.
+    Bit k of a vector is terms[k]; dims[k] is its dimension, dim_masks[e] has
+    the bits of dimension e and essential the bits of the terms with an l
+    factor.  transpositions[i] maps a term to its image with slots i and i + 1
+    swapped; entry k of steenrod (the total operation) is the vector of the
+    image of term k, computed when first read, so a closure that meets few
+    coordinates builds few entries; apply_table maps a vector through it.  h^0
+    comes first in slot 0, so the first-projection pull-back h^0 x c keeps the
+    coordinates of c, and the terms l_0 x t form one block in the order of the t.
     """
 
     def __init__(self, tables: FactorTables, r: int) -> None:
@@ -240,14 +210,16 @@ class CoordinateMaps:
         self.dim_masks = [0] * (r * tables.D + 1)
         for k, dim in enumerate(self.dims):
             self.dim_masks[dim] |= 1 << k
-        self.swaps = [_Images(partial(self._swap, i)) for i in range(r - 1)]
+        self.transpositions = [
+            itemgetter(*range(i), i + 1, i, *range(i + 2, r)) for i in range(r - 1)
+        ]
         self.steenrod = _Images(self._steenrod)
         width = len(self.terms) // len(tables.factors)  # the arity r - 1 coordinates
         self._l0, self._rest = (tables.d + 1) * width, (1 << width) - 1
 
-    def _swap(self, i: int, k: int) -> int:
-        t = self.terms[k]
-        return 1 << self.index[t[:i] + (t[i + 1], t[i]) + t[i + 2 :]]
+    @cached_property
+    def essential(self) -> int:
+        return sum([1 << k for k, t in enumerate(self.terms) if term_is_essential(t)])
 
     def _steenrod(self, k: int) -> int:
         images = self.tables.steenrod

@@ -222,7 +222,7 @@ def _target_rows(params: HoleParams, parts: list[Cycle]) -> list[int]:
     of the s with s0 t1 = T1, s1 t2 = T2 and s2 t0 = l_0: no composite is built.
     """
     tables = params.geometry.tables
-    over1, over2 = map(tables.quotients, target_cell(params))
+    over1, over2 = map(tables.quotients.__getitem__, target_cell(params))
     partners = tables.partners
     holders: dict[Term, int] = {}  # s -> mask of the y with s in inner_y; row x XORs them over V_x
     for y, inner in enumerate(_inner_parts(params, parts)):
@@ -345,7 +345,11 @@ def dim_In_set(n: int, cap: int) -> set[int]:
 
 
 def small_splitting_pattern(n: int, m: int) -> set[int]:
-    """Anisotropic-kernel dimensions of a small form: 2^(n+1) - 2^i for i = m..n+1."""
+    """Anisotropic-kernel dimensions of a small form: 2^(n+1) - 2^i for i = m..n+1.
+
+    The formula needs n >= 1: I^0 = W(F) holds forms of every dimension."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if not 1 <= m <= n + 1:
         raise ValueError(f"need 1 <= m <= n+1, got m={m}")
     return {(1 << (n + 1)) - (1 << i) for i in range(m, n + 2)}

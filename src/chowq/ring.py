@@ -32,11 +32,11 @@ def _term_products(
 ) -> list[Term]:
     """The non-zero factorwise products of each term of small with each term of the
     other side, which is given by its factor columns list(zip(*terms))."""
-    times = tables.times.__getitem__
+    prod = tables.prod
     products: list[Term] = []
     for s in small:
         # factor i of s times column i, in C; a None factor zeroes the product
-        products += filter(_NONZERO, zip(*map(map, map(times, s), columns)))
+        products += filter(_NONZERO, zip(*map(map, [prod[f].__getitem__ for f in s], columns)))
     return products
 
 

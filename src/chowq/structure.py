@@ -52,7 +52,7 @@ from .steenrod import steenrod_k
 
 
 def encode_cycle(c: Cycle) -> int:
-    _, index = c.geometry.tables.coords(c.arity)
+    index = c.geometry.tables.maps[c.arity].index
     v = 0
     for t in c.terms:
         v |= 1 << index[t]
@@ -70,7 +70,7 @@ def _terms_of(terms: list[Term], v: int) -> list[Term]:
 
 
 def decode_cycle(geometry: QuadricGeometry, r: int, v: int) -> Cycle:
-    return Cycle(geometry, r, frozenset(_terms_of(geometry.tables.coords(r)[0], v)))
+    return Cycle(geometry, r, frozenset(_terms_of(geometry.tables.maps[r].terms, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +228,10 @@ def closure(family: RationalFamily) -> RationalFamily:
     enter as their homogeneous components, cut out by the dimension masks of
     CoordinateMaps, and the diagonal class enters once when the arity bound is
     at least 2.  A vector of arity r goes once through the r-1 adjacent
-    transpositions (which generate every permutation), the total Steenrod
-    operation and the first-projection pull-back and push-forward, each taken
-    in coordinates by CoordinateMaps, and is multiplied by the slot generators
+    transpositions (which generate every permutation; each reorders the
+    vector's decoded terms), the total Steenrod operation and the
+    first-projection pull-back and push-forward, the last three taken in
+    coordinates by CoordinateMaps, and is multiplied by the slot generators
     h^0 x .. x h^1 x .. x h^0, by itself and by the earlier vectors, skipping
     the pairs of dimensions adding up to less than r*D (such a product
     vanishes).  A product forms only the term pairs that the per-slot masks of
@@ -252,7 +253,7 @@ def closure(family: RationalFamily) -> RationalFamily:
             queue.append((r, v))
 
     for r in range(1, top + 1):
-        maps, top_dim = tables.maps(r), r * geometry.D
+        maps, top_dim = tables.maps[r], r * geometry.D
         for t in itertools.product(tables.h, repeat=r):
             k = maps.index[t]
             fam.groups[r].add(1 << k)
@@ -265,10 +266,10 @@ def closure(family: RationalFamily) -> RationalFamily:
         feed(2, encode_cycle(diagonal_class(geometry)))
     while queue:
         r, v = queue.popleft()
-        maps = tables.maps(r)
-        for swap in maps.swaps:
-            feed(r, apply_table(swap, v))
-        mine = _Entry(maps, v)
+        maps = tables.maps[r]
+        mine, index = _Entry(maps, v), maps.index
+        for swap in maps.transpositions:
+            feed(r, sum([1 << index[t] for t in map(swap, mine.terms)]))
         image = apply_table(maps.steenrod, v)
         for m in maps.dim_masks[: mine.dimension + 1]:  # S only lowers the dimension
             feed(r, image & m)
@@ -280,7 +281,7 @@ def closure(family: RationalFamily) -> RationalFamily:
         floor = r * geometry.D - mine.dimension
         for e in earlier[r]:
             if e.dimension >= floor:
-                feed(r, _product_vector(tables, maps.index, mine, e))
+                feed(r, _product_vector(tables, index, mine, e))
     fam.closed = True
     return fam
 
@@ -391,11 +392,11 @@ def minimal_cycles(family: RationalFamily) -> list[Cycle]:
     if family.max_arity < 2:
         raise FamilyError("minimal cycles need an arity-2 group")
     geometry = family.geometry
-    mask = sum(m for dim, m in geometry.tables.essential_masks.items() if dim >= geometry.D)
+    maps = geometry.tables.maps[2]
+    mask = maps.essential & sum(maps.dim_masks[geometry.D :])
     ess = Gf2Subspace(v & mask for v in family.groups[2].rows())
-    _, index = geometry.tables.coords(2)
     support = ess.support()
-    if support >> index[(l(geometry.d), l(geometry.d))] & 1:
+    if support >> maps.index[(l(geometry.d), l(geometry.d))] & 1:
         raise FamilyError("family contains l_d x l_d in a rational cycle")
     atoms = [support] if support else []
     for row in ess.rows():  # keep together the coordinates every row meets alike
@@ -589,9 +590,9 @@ def check_known(family: RationalFamily, splitting: SplittingData) -> CheckResult
     pi = known_generator(geometry, a)
     if not family.contains(pi):
         problems.append("staircase-not-rational")
-    masks = geometry.tables.essential_masks
+    maps = geometry.tables.maps[2]
     for k in range(0, geometry.D + 1):
-        mask = masks.get(geometry.D + k, 0)
+        mask = maps.essential & maps.dim_masks[geometry.D + k]
         got = Gf2Subspace(v & mask for v in family.groups[2].rows() if v & mask)
         want = Gf2Subspace()
         if k < a:

@@ -166,7 +166,7 @@ def _cycles(draw, max_D=8, max_r=3):
     D = draw(st.integers(min_value=0, max_value=max_D))
     r = draw(st.integers(min_value=1, max_value=max_r))
     g = QuadricGeometry(D)
-    basis = g.tables.coords(r)[0]  # every arity-r term, precomputed per geometry
+    basis = g.tables.maps[r].terms  # every arity-r term, precomputed per geometry
     picks = draw(st.lists(st.integers(min_value=0, max_value=len(basis) - 1), max_size=6))
     return cycle(g, r, [basis[i] for i in picks])
 

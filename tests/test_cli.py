@@ -7,7 +7,7 @@ import subprocess
 import pytest
 
 from chowq.basis import QuadricGeometry, cycle_from_json, h, l, single
-from chowq.cli import main
+from chowq.cli import _verdict, build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -266,6 +266,11 @@ def test_verify_json(capsys):
     assert cert["passed"] is True and cert["method"] == "bilinear"
 
 
+def test_verify_runs_in_one_process_by_default():
+    args = build_parser().parse_args(["verify", "--n", "4", "--m", "3", "--p", "1"])
+    assert args.jobs == 1
+
+
 def test_verify_bad_params(capsys):
     code, _, err = run(
         capsys, "verify", "--n", "4", "--m", "3", "--p", "2", "--jobs", "1"
@@ -306,6 +311,34 @@ def test_pattern_vishik_and_small(capsys):
     assert code == 0 and json.loads(out) == [0, 16, 24, 28]
     code, _, _ = run(capsys, "pattern", "vishik", "--n", "2")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim-in", "--n", "0", "--cap", "10"],
+        ["vishik", "--n", "0", "--m", "3"],
+        ["small", "--n", "0", "--m", "1"],
+    ],
+)
+def test_pattern_needs_n_at_least_1(capsys, argv):
+    """I^0 = W(F) holds forms of every dimension, so the formulas start at n = 1."""
+    code, out, err = run(capsys, "pattern", *argv)
+    assert code == 1 and out == "" and "error: need n >= 1, got n=0" in err
+
+
+# ---------------------------------------------------------------------------
+# color
+
+
+def test_verdicts_are_colored_on_a_terminal(monkeypatch):
+    monkeypatch.delenv("CHOWQ_COLOR")
+    monkeypatch.setattr("sys.stdout.isatty", lambda: True)
+    assert _verdict("springer", True) == "springer: \x1b[32mPASS\x1b[0m"
+    assert _verdict("springer", False) == "springer: \x1b[31mFAIL\x1b[0m"
+    monkeypatch.setenv("CHOWQ_COLOR", "0")
+    assert _verdict("springer", True) == "springer: PASS"
+    assert _verdict("springer", False) == "springer: FAIL"
 
 
 # ---------------------------------------------------------------------------

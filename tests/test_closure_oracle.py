@@ -33,7 +33,7 @@ from chowq.structure import (
 def round_closure(family: RationalFamily) -> RationalFamily:
     fam = family.copy()
     for r in range(1, fam.max_arity + 1):
-        _, index = fam.geometry.tables.coords(r)
+        index = fam.geometry.tables.maps[r].index
         for t in itertools.product(fam.geometry.tables.h, repeat=r):  # the non-essential seed
             fam.groups[r].add(1 << index[t])
 

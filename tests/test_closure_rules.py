@@ -116,12 +116,12 @@ def test_closure_of_nothing_holds_the_diagonal_and_its_lifts(D, top):
 
 
 def entry(c):
-    return _Entry(c.geometry.tables.maps(c.arity), encode_cycle(c))
+    return _Entry(c.geometry.tables.maps[c.arity], encode_cycle(c))
 
 
 def coordinate_product(a, b):
     tables = a.geometry.tables
-    return _product_vector(tables, tables.coords(a.arity)[1], entry(a), entry(b))
+    return _product_vector(tables, tables.maps[a.arity].index, entry(a), entry(b))
 
 
 @pytest.mark.parametrize("D, r", [(D, r) for D in range(0, 7) for r in (1, 2)])
@@ -177,7 +177,7 @@ def test_masked_products_at_arity_four_skip_no_nonzero_term_product():
     for D in range(1, 7):
         g = QuadricGeometry(D)
         tables = g.tables
-        index = tables.coords(4)[1]
+        index = tables.maps[4].index
         pieces = pieces_by_dimension(g, 4)
         for _ in range(6):
             c = random_sum(rng, g, rng.choice(pieces), 4)

@@ -40,6 +40,8 @@ def test_equality_is_subspace_equality():
     b = Gf2Subspace([0b101, 0b011])
     assert a == b
     assert Gf2Subspace([0b110]) != a
+    for other in (0, 0b110, None, [0b110], "x"):  # a subspace never equals a non-subspace
+        assert (a == other) is False and (a != other) is True
 
 
 def test_support_and_enumerate():

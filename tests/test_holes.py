@@ -91,10 +91,13 @@ def test_forced_witt_sequence_reads_the_params_back():
 
 
 def test_vishik_pattern_is_the_small_pattern_with_the_even_tail():
-    for n in range(0, 8):
+    for n in range(1, 8):
         for m in range(-1, 10):
             tail = set(range(1 << (n + 1), m * (1 << n) + 1, 2))
             assert vishik_pattern(n, m) == small_splitting_pattern(n, 1) | tail
+    for pattern in (lambda: vishik_pattern(0, 3), lambda: small_splitting_pattern(0, 1)):
+        with pytest.raises(ValueError, match="n >= 1"):
+            pattern()
 
 
 def test_forced_witt_sequence():

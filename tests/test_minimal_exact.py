@@ -24,10 +24,10 @@ def enumerating_minimal_cycles(family, cap=1 << 20):
     """The intersection of all members through each coordinate, over all 2^rank members."""
     _require_closed(family)
     geometry = family.geometry
-    mask = sum(m for dim, m in geometry.tables.essential_masks.items() if dim >= geometry.D)
+    maps = geometry.tables.maps[2]
+    mask = maps.essential & sum(maps.dim_masks[geometry.D :])
     ess = Gf2Subspace(v & mask for v in family.groups[2].rows())
-    _, index = geometry.tables.coords(2)
-    if ess.support() >> index[(l(geometry.d), l(geometry.d))] & 1:
+    if ess.support() >> maps.index[(l(geometry.d), l(geometry.d))] & 1:
         raise FamilyError("family contains l_d x l_d in a rational cycle")
     elements = [v for v in ess.enumerate(cap) if v]
     atoms = {}
@@ -56,8 +56,8 @@ def outcome(fn, family):
 
 
 def essential_rank(family):
-    g = family.geometry
-    mask = sum(m for dim, m in g.tables.essential_masks.items() if dim >= g.D)
+    maps = family.geometry.tables.maps[2]
+    mask = maps.essential & sum(maps.dim_masks[family.geometry.D :])
     return Gf2Subspace(v & mask for v in family.groups[2].rows()).rank
 
 
@@ -80,10 +80,12 @@ def test_staircases_match_enumeration():
 
 
 G4 = QuadricGeometry(4)
-_, INDEX4 = G4.tables.coords(2)
+MAPS4 = G4.tables.maps[2]
 # homogeneous essential slices of dimension >= D, without l_d x l_d
 SLICES4 = [
-    m & ~(1 << INDEX4[(l(G4.d), l(G4.d))]) for dim, m in G4.tables.essential_masks.items() if dim >= G4.D
+    m & MAPS4.essential & ~(1 << MAPS4.index[(l(G4.d), l(G4.d))])
+    for m in MAPS4.dim_masks[G4.D :]
+    if m & MAPS4.essential
 ]
 
 
@@ -100,7 +102,7 @@ def test_arbitrary_spans_match_enumeration(pieces):
 
 def test_inconsistent_span_is_rejected():
     g = QuadricGeometry(4)
-    _, index = g.tables.coords(2)
+    index = g.tables.maps[2].index
     a, b, c = (1 << index[t] for t in [(h(0), l(0)), (h(1), l(1)), (l(0), h(0))])
     fam = RationalFamily(g, 2)
     fam.groups[2].add(a | b)
