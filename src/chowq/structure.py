@@ -12,9 +12,10 @@ A closed group is graded, and the reduced echelon basis of a graded subspace
 is the union of the unique bases of its pieces, so every row is homogeneous.
 The checkers then test the structural constraints a genuine family must
 satisfy (point-degree parity, binary-size, shell-triangle symmetries,
-minimal/primordial decomposition, small-quadric shape, descent); those on
-one cycle take such a row: the zero cycle passes and an inhomogeneous one
-raises ValueError.
+minimal/primordial decomposition, small-quadric shape, descent).  check_all
+reads the three one-cycle checks off such an arity-2 row's coordinates; the
+public one-cycle checkers take an arity-2 cycle (ArityError otherwise): the
+zero cycle passes and an inhomogeneous one raises ValueError.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .basis import (
     h,
     l,
     single,
-    term_is_essential,
 )
 from .correspondence import derivative, diagonal_class
 from .gf2 import Gf2Subspace
@@ -486,7 +486,7 @@ def primordial_cycles(
 # shell-triangle checkers
 
 
-@functools.lru_cache(maxsize=1024)  # check_all asks once per member, with one k per dimension
+@functools.lru_cache(maxsize=1024)  # _shell_bits asks once per (geometry, splitting, dimension)
 def forbidden_cells(
     geometry: QuadricGeometry, splitting: SplittingData, k: int
 ) -> frozenset[Term]:
@@ -506,41 +506,57 @@ def forbidden_cells(
     return frozenset(out)
 
 
+@functools.lru_cache(maxsize=1024)
+def _shell_bits(geometry: QuadricGeometry, splitting: SplittingData, e: int) -> tuple[int, list]:
+    """The forbidden cells of arity-2 dimension e >= D as one mask, and the mirror
+    pairs (left bit, right bit, (left, right)) of the shell triangles, shell by shell."""
+    index, H, L = geometry.tables.maps[2].index, geometry.tables.h, geometry.tables.l
+    k, js, pairs = e - geometry.D, splitting.partial_sums, []
+    for q in splitting.shells():
+        for x in range(js[q - 1], js[q] - k):
+            y = js[q - 1] + js[q] - 1 - x
+            if x + k <= geometry.d and y <= geometry.d:
+                left, right = (H[x], L[x + k]), (L[y], H[y - k])
+                pairs.append((index[left], index[right], (left, right)))
+    return sum([1 << index[t] for t in forbidden_cells(geometry, splitting, k + 1)]), pairs
+
+
+def _read_row(geometry: QuadricGeometry, splitting: SplittingData | None, v: int) -> tuple:
+    """The witnesses of even_essential, forbidden_cells and pairs (the last two need
+    splitting data) on a non-zero homogeneous arity-2 row v, bits in sorted-term order."""
+    maps = geometry.tables.maps[2]
+    e = maps.dims[(v & -v).bit_length() - 1]
+    if e < geometry.D:
+        return (), (), ()
+    n = (v & maps.essential).bit_count()
+    mask, pairs = _shell_bits(geometry, splitting, e) if splitting is not None else (0, ())
+    mirror = tuple(w for i, j, w in pairs if (v >> i ^ v >> j) & 1)
+    return ((e, n),) if n & 1 else (), tuple(_terms_of(maps.terms, v & mask)), mirror
+
+
+def _check_one(name: str, which: int, alpha: Cycle, splitting: SplittingData | None) -> CheckResult:
+    """Witnesses `which` of _read_row on one homogeneous arity-2 cycle; zero passes."""
+    if alpha.arity != 2:
+        raise ArityError(f"{name} checks an arity-2 cycle, got arity {alpha.arity}")
+    if not alpha.is_homogeneous:
+        raise ValueError(f"{name} checks a homogeneous cycle")
+    bad = _read_row(alpha.geometry, splitting, encode_cycle(alpha))[which] if alpha.terms else ()
+    return CheckResult(name, not bad, bad)
+
+
 def check_forbidden(alpha: Cycle, splitting: SplittingData) -> CheckResult:
     """A homogeneous rational cycle meets none of the forbidden cells of its dimension."""
-    if alpha.is_zero:
-        return CheckResult("forbidden_cells", True)
-    cells = forbidden_cells(alpha.geometry, splitting, alpha.dimension - alpha.geometry.D + 1)
-    bad = sorted(alpha.terms & cells)
-    return CheckResult("forbidden_cells", not bad, tuple(bad))
+    return _check_one("forbidden_cells", 1, alpha, splitting)
 
 
 def check_pairs(alpha: Cycle, splitting: SplittingData) -> CheckResult:
     """Left/right shell-triangle mirror symmetry of the diagram of a homogeneous cycle."""
-    geometry = alpha.geometry
-    if alpha.is_zero or alpha.dimension < geometry.D:
-        return CheckResult("pairs", True)
-    k = alpha.dimension - geometry.D
-    js, H, L = splitting.partial_sums, geometry.tables.h, geometry.tables.l
-    bad = []
-    for q in splitting.shells():
-        for x in range(js[q - 1], js[q] - k):
-            y = js[q - 1] + js[q] - 1 - x
-            if x + k > geometry.d or y > geometry.d:
-                continue
-            left = (H[x], L[x + k])
-            right = (L[y], H[y - k])
-            if (left in alpha.terms) != (right in alpha.terms):
-                bad.append((left, right))
-    return CheckResult("pairs", not bad, tuple(bad))
+    return _check_one("pairs", 2, alpha, splitting)
 
 
 def check_even_essential(alpha: Cycle) -> CheckResult:
-    """A homogeneous cycle of codimension at most D has an even point count."""
-    if alpha.is_zero or alpha.dimension < alpha.geometry.D:
-        return CheckResult("even_essential", True)
-    n = sum(1 for t in alpha.terms if term_is_essential(t))
-    return CheckResult("even_essential", n % 2 == 0, ((alpha.dimension, n),) if n % 2 else ())
+    """A homogeneous cycle of dimension at least D has an even point count."""
+    return _check_one("even_essential", 0, alpha, None)
 
 
 def check_neravenstva(
@@ -590,15 +606,16 @@ def check_known(family: RationalFamily, splitting: SplittingData) -> CheckResult
     pi = known_generator(geometry, a)
     if not family.contains(pi):
         problems.append("staircase-not-rational")
-    maps = geometry.tables.maps[2]
-    for k in range(0, geometry.D + 1):
-        mask = maps.essential & maps.dim_masks[geometry.D + k]
-        got = Gf2Subspace(v & mask for v in family.groups[2].rows() if v & mask)
+    maps, slices = geometry.tables.maps[2], {}
+    for v in family.groups[2].rows():  # homogeneous: one slice each
+        k = maps.dims[(v & -v).bit_length() - 1] - geometry.D
+        if k >= 0 and v & maps.essential:
+            slices.setdefault(k, []).append(v & maps.essential)
+    for k in sorted(slices.keys() | range(a)):  # every other slice is empty on both sides
         want = Gf2Subspace()
-        if k < a:
-            for j in range(1, a - k + 1):
-                want.add(encode_cycle(derivative(pi, j - 1, a - k - j)))
-        if got != want:
+        for j in range(1, a - k + 1):
+            want.add(encode_cycle(derivative(pi, j - 1, a - k - j)))
+        if Gf2Subspace(slices.get(k, ())) != want:
             problems.append(("slice", k))
     return CheckResult("known", not problems, tuple(problems))
 
@@ -676,17 +693,13 @@ def check_all(
     report["springer"] = check_springer(fam)
     report["binary_size"] = check_binary_size(fam)
 
-    members = fam.members(2) if fam.max_arity >= 2 else []
-    split = fam.splitting
-
-    def over_members(name: str, check) -> None:
-        bad = [w for member in members for w in check(member).witnesses]
+    split, shells = fam.splitting, fam.max_arity >= 2 and fam.splitting is not None
+    rows = fam.groups[2].rows() if fam.max_arity >= 2 else []
+    read = [_read_row(fam.geometry, split, v) for v in rows]
+    for which, name in enumerate(("even_essential", "forbidden_cells", "pairs")[: 1 + 2 * shells]):
+        bad = [w for got in read for w in got[which]]
         report[name] = CheckResult(name, not bad, tuple(bad))
-
-    over_members("even_essential", check_even_essential)
-    if fam.max_arity >= 2 and split is not None:
-        over_members("forbidden_cells", lambda member: check_forbidden(member, split))
-        over_members("pairs", lambda member: check_pairs(member, split))
+    if shells:
         try:
             primordial_cycles(fam, split)
             report["primordial"] = CheckResult("primordial", True)

@@ -1,11 +1,13 @@
-"""Closed groups have homogeneous echelon rows, which the one-cycle checkers need.
+"""Closed groups have homogeneous echelon rows, which the one-cycle checks need.
 
-check_all hands the arity-2 rows of a closed family to check_even_essential,
-check_forbidden and check_pairs without splitting them.  That is sound because
-a closed group is graded, and the reduced echelon basis of a graded subspace
-is the union of the unique reduced bases of its pieces.  These tests check
-the claim on closed families and pin the checkers' contract: the zero cycle
-passes and an inhomogeneous cycle raises ValueError, also under python -O.
+check_all reads even_essential, forbidden_cells and pairs off the arity-2
+rows of a closed family, taking each row's dimension from its lowest bit,
+without splitting the rows.  That is sound because a closed group is graded,
+and the reduced echelon basis of a graded subspace is the union of the
+unique reduced bases of its pieces.  These tests check the claim on closed
+families and pin the contract of the public checkers check_even_essential,
+check_forbidden and check_pairs: the zero cycle passes and an inhomogeneous
+cycle raises ValueError, also under python -O.
 """
 
 import itertools
