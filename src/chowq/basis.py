@@ -107,14 +107,16 @@ class FactorTables:
     h^(d-j) * l_d forces l_i * l_j = h^(d-i) h^(d-j) l_d^2 = 0 for (i, j) !=
     (d, d).  Graded Steenrod squares, each one factor or zero: S^k(h^i) =
     C(i, k) * h^(i+k) and S^k(l_i) = C(D-i+1, k) * l_(i-k); their sums are the
-    total images S(h^i) = h^i (1+h)^i and S(l_i) = l_i (1+h)^(D-i+1).  prod is
-    the whole product table, built on first use from slices of the factor
-    lists.  Every keyed table is an _Images, one entry built when first read:
-    squares[f][k] is the factor S^k(f), or None where it vanishes, in rows that
-    end at h^d and l_0, filled by the walk over the submasks k of n = i or
-    D - i + 1, the k with C(n, k) odd (Lucas); steenrod[f] lists the factors of
-    the total image, the squares of f; quotients[t][g] lists the f with
-    f * g = t; maps[r] is the CoordinateMaps of the arity-r terms.
+    total images S(h^i) = h^i (1+h)^i and S(l_i) = l_i (1+h)^(D-i+1).  No table
+    is built whole: each is an _Images, one entry built when first read.
+    prod[f][g] is the factor f * g, or None where it vanishes, in rows sliced
+    from the factor lists; squares[f][k] is the factor S^k(f), or None where it
+    vanishes, in rows that end at h^d and l_0, filled by the walk over the
+    submasks k of n = i or D - i + 1, the k with C(n, k) odd (Lucas);
+    steenrod[f] lists the factors of the total image, the squares of f;
+    quotients[t][g] lists the f with f * g = t; maps[r] is the CoordinateMaps
+    of the arity-r terms.  The rows trust their key: the public helpers check
+    a factor against the geometry before they read one.
     """
 
     def __init__(self, D: int) -> None:
@@ -127,28 +129,21 @@ class FactorTables:
         self.dims = _interleave(list(range(D, D - d - 1, -1)), list(range(d + 1)))
         self.order = _interleave(list(range(d + 1)), list(range(d + 1, 2 * d + 2)))
         self.middle_square = (D + 1) * (d + 1) % 2 == 1  # l_d * l_d = l_0
+        self.prod = _Images(self._product_row)
         self.squares = _Images(self._square_row)
         self.steenrod = _Images(lambda f: tuple(g for g in self.squares[f] if g is not None))
         self.quotients = _Images(self._quotient_row)
         self.maps = _Images(lambda r: CoordinateMaps(self, r))
 
-    @cached_property
-    def prod(self) -> list[list[BasisFactor | None]]:
-        """prod[a][b] is the factor a * b, or None where the product vanishes."""
-        d, H, L = self.d, self.h, self.l
-        rows = []
-        for i in range(d + 1):
+    def _product_row(self, f: BasisFactor) -> list[BasisFactor | None]:
+        d, i, H, L = self.d, f >> 1, self.h, self.l
+        if not f & 1:  # h^i h^j = h^(i+j), h^i l_j = l_(j-i)
             zeros = [None] * i
-            rows.append(_interleave(H[i:] + zeros, zeros + L[: d + 1 - i]))
-            rows.append(_interleave(L[i::-1] + [None] * (d - i), [None] * (d + 1)))
-        if self.middle_square:
-            rows[-1][-1] = L[0]
-        return rows
-
-    @cached_property
-    def partners(self) -> list[tuple[BasisFactor, ...]]:
-        """partners[f] lists the factors g with f * g = l_0."""
-        return self.quotients[self.l[0]]
+            return _interleave(H[i:] + zeros, zeros + L[: d + 1 - i])
+        odd = [None] * (d + 1)  # l_i l_j = 0 but for l_d l_d = l_0
+        if i == d and self.middle_square:
+            odd[d] = L[0]
+        return _interleave(L[i::-1] + [None] * (d - i), odd)
 
     def _quotient_row(self, t: BasisFactor) -> list[tuple[BasisFactor, ...]]:
         """Row g lists the factors f with f * g = t, h's before l's.  h^i h^j = h^(i+j)
@@ -178,7 +173,7 @@ class FactorTables:
 
 
 class _Images(dict):
-    """Values by key (coordinate index, factor code or arity), each image(k) on first read."""
+    """Values by key (coordinate index, factor code, arity or D), each image(k) on first read."""
 
     def __init__(self, image) -> None:
         super().__init__()
@@ -240,7 +235,7 @@ def apply_table(table: dict[int, int], v: int) -> int:
     return out
 
 
-_TABLES: dict[int, FactorTables] = {}
+_TABLES = _Images(FactorTables)  # by D, for the life of the process
 
 
 @dataclass(frozen=True)
@@ -264,12 +259,13 @@ class QuadricGeometry:
     @cached_property
     def tables(self) -> FactorTables:
         """The factor tables of dimension D, shared by every geometry of that dimension."""
-        return _TABLES.get(self.D) or _TABLES.setdefault(self.D, FactorTables(self.D))
+        return _TABLES[self.D]
 
     def __getstate__(self) -> dict:
         return {"D": self.D}  # the tables are looked up again on first use
 
     def factor_dimension(self, f: BasisFactor) -> int:
+        self.check_factor(f)
         return self.tables.dims[f]
 
     def check_factor(self, f: BasisFactor) -> None:

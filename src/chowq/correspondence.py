@@ -31,7 +31,7 @@ def compose(alpha: Cycle, alpha2: Cycle) -> Cycle:
     if alpha.arity == 1 and alpha2.arity == 1:
         raise ArityError("composition of two arity-1 cycles is not supported")
     geometry = alpha.geometry
-    partners = geometry.tables.partners
+    partners = geometry.tables.quotients[l(0)]  # the g with f * g = l_0
     by_first: dict[int, list[Term]] = {}
     for t in alpha2.terms:
         by_first.setdefault(t[0], []).append(t[1:])

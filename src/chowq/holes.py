@@ -14,9 +14,10 @@ Its survival contradicts the small-quadric structure theorem, which is
 what rules out the corresponding dimension value.  Both methods read one
 table of target bits, built once per certificate with J+1 calls of
 steenrod_k and no composite.  Brute force walks the 2^(3J) cases flipping
-one part of mu at a time, with one bit of state.  A certificate takes
-0.0045 / 0.010 s brute at (4,3,1) / (7,3,1), 0.07 / 0.31 s bilinear at
-(9,8,1) / (10,9,1) (median of 5, 2 CPUs, Python 3.11).
+one part of mu at a time, with one bit of state.  With the tables warm, a
+certificate takes 0.005 / 0.011 s brute at (4,3,1) / (7,3,1), 0.07 / 0.24-0.33 s
+bilinear at (9,8,1) / (10,9,1); the first at D = 4 088, (11,3,1), takes
+0.18-0.26 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _target_rows(params: HoleParams, parts: list[Cycle]) -> list[int]:
     """
     tables = params.geometry.tables
     over1, over2 = map(tables.quotients.__getitem__, target_cell(params))
-    partners = tables.partners
+    partners = tables.quotients[l(0)]
     holders: dict[Term, int] = {}  # s -> mask of the y with s in inner_y; row x XORs them over V_x
     for y, inner in enumerate(_inner_parts(params, parts)):
         for s in inner.terms:

@@ -44,6 +44,8 @@ def mul_factor_raw(
     geometry: QuadricGeometry, a: BasisFactor, b: BasisFactor
 ) -> BasisFactor | None:
     """Product of two arity-1 basis factors; None encodes zero."""
+    geometry.check_factor(a)
+    geometry.check_factor(b)
     return geometry.tables.prod[a][b]
 
 

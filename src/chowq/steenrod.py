@@ -16,6 +16,7 @@ from .basis import BasisFactor, Cycle, QuadricGeometry, Term, binom_mod2, cycle
 
 def steenrod_factor(geometry: QuadricGeometry, f: BasisFactor) -> list[BasisFactor]:
     """All factors appearing in the total Steenrod image of a single factor."""
+    geometry.check_factor(f)
     return list(geometry.tables.steenrod[f])
 
 

@@ -486,7 +486,6 @@ def primordial_cycles(
 # shell-triangle checkers
 
 
-@functools.lru_cache(maxsize=1024)  # _shell_bits asks once per (geometry, splitting, dimension)
 def forbidden_cells(
     geometry: QuadricGeometry, splitting: SplittingData, k: int
 ) -> frozenset[Term]:

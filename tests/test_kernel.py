@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from chowq.basis import QuadricGeometry, h, l, single
+from chowq import basis
+from chowq.basis import FactorTables, GeometryError, QuadricGeometry, _Images, h, l, single
 from chowq.correspondence import compose, delta_pullback_q
 from chowq.holes import (
     HoleParams,
@@ -23,8 +24,9 @@ from chowq.holes import (
     build_xi,
     mu_prime_generators,
     target_cell,
+    verify_contradiction,
 )
-from chowq.ring import mul_factor_raw
+from chowq.ring import mul_factor, mul_factor_raw
 from chowq.steenrod import binom_mod2, steenrod_factor
 
 # ---------------------------------------------------------------------------
@@ -97,8 +99,7 @@ def test_tables_match_rules_up_to_D_40():
         assert [t.factors[f] for f in fs] == fs
         for a in fs:
             assert t.dims[a] == rule_dimension(g, a)
-            assert sorted(t.partners[a]) == sorted(rule_partners(g, a))
-            assert t.partners[a] == t.quotients[l(0)][a]
+            assert sorted(t.quotients[l(0)][a]) == sorted(rule_partners(g, a))
             assert list(t.steenrod[a]) == rule_steenrod(g, a)
             assert steenrod_factor(g, a) == rule_steenrod(g, a)
             quotients = t.quotients[a]
@@ -113,6 +114,51 @@ def test_tables_match_rules_up_to_D_40():
 def test_tables_are_shared_per_dimension():
     assert QuadricGeometry(12).tables is QuadricGeometry(12).tables
     assert QuadricGeometry(12).tables is not QuadricGeometry(13).tables
+
+
+# ---------------------------------------------------------------------------
+# every table is built on first read
+
+
+def test_product_rows_are_built_one_at_a_time():
+    parities = set()
+    for D in range(2, 12):
+        g = QuadricGeometry(D)
+        t = FactorTables(D)
+        assert not t.prod
+        parities.add(t.middle_square)
+        built = set()
+        for a in [l(g.d)] + g.factors():  # the l_d row first, alone
+            row = t.prod[a]
+            built.add(a)
+            assert t.prod.keys() == built
+            assert row == [rule_product(g, a, b) for b in t.factors], (D, a)  # by code
+    assert parities == {False, True}
+
+
+def test_a_certificate_builds_few_product_rows(monkeypatch):
+    monkeypatch.setattr(basis, "_TABLES", _Images(FactorTables))
+    params = HoleParams(8, 5, 2)
+    assert verify_contradiction(params)["passed"]
+    tables = params.geometry.tables
+    assert tables is basis._TABLES[params.D]
+    assert 0 < len(tables.prod) < (2 * params.d + 2) // 10
+
+
+def test_factor_helpers_reject_factors_outside_the_geometry():
+    g = QuadricGeometry(4)
+    t = g.tables
+    before = set(t.squares), set(t.steenrod), set(t.prod)
+    with pytest.raises(GeometryError):
+        steenrod_factor(g, l(7))
+    with pytest.raises(GeometryError):
+        g.factor_dimension(h(3))
+    for a, b in [(l(7), h(0)), (h(0), l(7)), (h(3), h(1))]:
+        with pytest.raises(GeometryError):
+            mul_factor_raw(g, a, b)
+        with pytest.raises(GeometryError):
+            mul_factor(g, a, b)
+    assert (set(t.squares), set(t.steenrod), set(t.prod)) == before
 
 
 # ---------------------------------------------------------------------------
