@@ -332,6 +332,11 @@ class Cycle:
         if type(self.arity) is not int or self.arity < 0:
             raise ArityError(f"arity must be a non-negative integer, got {self.arity!r}")
         terms = self.terms
+        if not isinstance(terms, frozenset):
+            raise TypeError(
+                f"terms must be a frozenset, got {type(terms).__name__}; "
+                "cycle() builds one from any iterable, cancelling repeats mod 2"
+            )
         if not terms or (
             set(map(len, terms)) <= {self.arity}
             and self.geometry.tables.valid.issuperset(chain.from_iterable(terms))

@@ -43,7 +43,7 @@ from .basis import (
 from .correspondence import compose, delta_pullback_q
 from .ring import external_product, mul, sym, transpose
 from .steenrod import steenrod_k
-from .structure import SplittingData, _is_power_of_two
+from .structure import SplittingData, _is_power_of_two, _staircase
 
 BRUTE_THRESHOLD = 1 << 20
 
@@ -121,13 +121,7 @@ def forced_witt_sequence(n: int, dim: int) -> SplittingData:
 
 def build_mu_zero(params: HoleParams) -> Cycle:
     """Symmetrized staircase part of the construction cycle; each term has dimension 2D + b - 1."""
-    g = params.geometry
-    a, b = params.a, params.b
-    terms = [
-        (h(0), h((i - 1) * b + a), l(i * b + a - 1))
-        for i in range(1, params.n_b + 1)
-    ]
-    return sym(Cycle(g, 3, frozenset(terms)))
+    return _staircase(params.geometry, params.a, params.b, (h(0),))
 
 
 def build_chi(params: HoleParams, j: int) -> Cycle:
@@ -141,16 +135,7 @@ def mu_prime_generators(params: HoleParams) -> list[Cycle]:
     """The 3J admissible defect summands: chi_j per slot, slots 2 and 3 transposed."""
     g = params.geometry
     a, b, c = params.a, params.b, params.c
-    inner = sym(  # one staircase for every chi_j
-        Cycle(
-            g,
-            2,
-            frozenset(
-                (h((i - 1) * c + b + a), l(i * c + b + a - 1))
-                for i in range(1, params.n_c + 1)
-            ),
-        )
-    )
+    inner = _staircase(g, b + a, c)  # one staircase for every chi_j
     out = []
     for j in range(1, params.j_count + 1):
         shifted = mul(inner, single(g, h((j - 1) * a), h(c - b - j * a)))

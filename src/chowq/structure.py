@@ -40,6 +40,7 @@ from .basis import (
     h,
     l,
     single,
+    zero,
 )
 from .correspondence import derivative, diagonal_class
 from .gf2 import Gf2Subspace
@@ -139,10 +140,6 @@ class RationalFamily:
 
     def members(self, r: int) -> list[Cycle]:
         return [decode_cycle(self.geometry, r, v) for v in self.groups[r].rows()]
-
-    def support_terms(self, r: int) -> set[Term]:
-        """Basis elements appearing in some member of the arity-r group."""
-        return set(decode_cycle(self.geometry, r, self.groups[r].support()).terms)
 
     def copy(self) -> "RationalFamily":
         return RationalFamily(
@@ -358,11 +355,11 @@ def splitting_readoff(family: RationalFamily) -> SplittingData:
             raise FamilyError(
                 f"insufficient data: need arity {r} to read off step {len(js) + 1}"
             )
-        support = family.support_terms(r)
+        support, index = family.groups[r].support(), geometry.tables.maps[r].index
         prefix = (h(0),) + tuple(h(j) for j in js)
         best = None
         for j in range(1, d + 2):
-            if prefix + (l(j - 1),) in support:
+            if support >> index[prefix + (l(j - 1),)] & 1:
                 best = j
         if best is None:
             raise FamilyError(f"insufficient data: no step found at arity {r}")
@@ -427,14 +424,9 @@ class PrimordialReport:
     f_map: dict[Cycle, int]
 
 
-def _highest_derivative_sum(pis: Iterable[Cycle]) -> Cycle | None:
-    total = None
-    for pi in pis:
-        k = pi.dimension - pi.geometry.D
-        for i in range(k + 1):
-            der = derivative(pi, i, k - i)
-            total = der if total is None else total + der
-    return total
+def _derivatives(pi: Cycle, order: int) -> list[Cycle]:
+    """The derivatives pi * (h^i x h^(order-i)) of one order, i = 0..order (none below 0)."""
+    return [derivative(pi, i, order - i) for i in range(order + 1)]
 
 
 def primordial_cycles(
@@ -451,15 +443,9 @@ def primordial_cycles(
         )
     pis: list[Cycle] = []
     f_map: dict[Cycle, int] = {}
+    alpha = zero(geometry, 2)  # the sum of the highest derivatives of pis
     for q in splitting.shells():
-        alpha = _highest_derivative_sum(pis)
-        missing = [
-            i
-            for i in range(js[q - 1], js[q])
-            if alpha is None
-            or (h(i), l(i)) not in alpha.terms
-        ]
-        if not missing:
+        if all((h(i), l(i)) in alpha.terms for i in range(js[q - 1], js[q])):
             continue
         top = (h(js[q - 1]), l(js[q] - 1))
         candidates = [m for m in minimals if top in m.terms]
@@ -472,8 +458,8 @@ def primordial_cycles(
             raise FamilyError(f"shell-{q} primordial candidate is not symmetric")
         pis.append(pi)
         f_map[pi] = q
-    alpha = _highest_derivative_sum(pis)
-    if alpha is None or essential_part(alpha) != diagonal_essential_sum(geometry):
+        alpha = sum(_derivatives(pi, pi.dimension - geometry.D), alpha)
+    if essential_part(alpha) != diagonal_essential_sum(geometry):
         raise FamilyError(
             "highest derivatives of the primordial set do not cover the diagonal cells"
         )
@@ -576,16 +562,21 @@ def check_neravenstva(
 # small-quadric shape
 
 
+def _staircase(geometry: QuadricGeometry, shift: int, step: int, prefix: Term = ()) -> Cycle:
+    """sym of the sum over i >= 1 of prefix x h^(shift+(i-1)step) x l_(shift+i*step-1),
+    for every i with shift + i*step <= d + 1."""
+    steps = range(1, (geometry.d + 1 - shift) // step + 1)
+    terms = frozenset(prefix + (h(shift + (i - 1) * step), l(shift + i * step - 1)) for i in steps)
+    return sym(Cycle(geometry, len(prefix) + 2, terms))
+
+
 def known_generator(geometry: QuadricGeometry, a: int) -> Cycle:
     """The symmetric staircase cycle of a small quadric with first index a."""
-    d = geometry.d
-    if (d + 1) % a != 0:
-        raise ValueError(f"{a} does not divide d+1 = {d + 1}")
-    terms = [
-        (h((i - 1) * a), l(i * a - 1))
-        for i in range(1, (d + 1) // a + 1)
-    ]
-    return sym(Cycle(geometry, 2, frozenset(terms)))
+    if type(a) is not int or a < 1:
+        raise ValueError(f"the first Witt index must be a positive integer, got {a!r}")
+    if (geometry.d + 1) % a != 0:
+        raise ValueError(f"{a} does not divide d+1 = {geometry.d + 1}")
+    return _staircase(geometry, 0, a)
 
 
 def _is_small(geometry: QuadricGeometry, splitting: SplittingData) -> bool:
@@ -611,9 +602,7 @@ def check_known(family: RationalFamily, splitting: SplittingData) -> CheckResult
         if k >= 0 and v & maps.essential:
             slices.setdefault(k, []).append(v & maps.essential)
     for k in sorted(slices.keys() | range(a)):  # every other slice is empty on both sides
-        want = Gf2Subspace()
-        for j in range(1, a - k + 1):
-            want.add(encode_cycle(derivative(pi, j - 1, a - k - j)))
+        want = Gf2Subspace(map(encode_cycle, _derivatives(pi, a - 1 - k)))
         if Gf2Subspace(slices.get(k, ())) != want:
             problems.append(("slice", k))
     return CheckResult("known", not problems, tuple(problems))

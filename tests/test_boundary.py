@@ -137,6 +137,10 @@ def test_public_constructors_reject_bad_input():
         Cycle(g, 2, frozenset({(h(0), l(1)), (h(0),)}))
     with pytest.raises(TypeError):
         Cycle(g, 1, frozenset({(99,)}))
+    term = (h(0), l(0))
+    for terms in ([term] * 2, [term], [], {term}, set(), (term,), ()):  # cycle() takes these
+        with pytest.raises(TypeError, match="frozenset"):
+            Cycle(g, 2, terms)
 
 
 def test_factors_survive_pickle_and_copy():

@@ -1,12 +1,14 @@
-"""Checker reports and first-Witt-index sets compared against a stored fixture.
+"""Checker reports, first-Witt-index sets and certificates compared against a stored fixture.
 
 The fixture pins the full output of check_all (every key, name, verdict and
 witness text), witt_index_readoff and check_springer on a fixed set of
-families, and allowed_first_witt_indices for dim 3..80.  Regenerate it
-with `PYTHONPATH=src python tests/test_golden.py` only when a change of
-these outputs is intended.
+families, allowed_first_witt_indices for dim 3..80, and one SHA-256 per
+certifier method over certificate_json of all 56 triples with n <= 9.
+Regenerate it with `PYTHONPATH=src python tests/test_golden.py` only when a
+change of these outputs is intended.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from chowq import (
     single,
     witt_index_readoff,
 )
+from chowq.holes import HoleParams, certificate_json, verify_contradiction
 
 FIXTURE = Path(__file__).with_name("golden_checks.json")
 
@@ -81,6 +84,16 @@ def snapshot():
     return {"families": reports, "allowed_first_witt_indices": allowed}
 
 
+def certificate_digests():
+    """method -> SHA-256 of the certificates of every (n, m, p) with n <= 9, one per line."""
+    triples = [(n, m, p) for n in range(4, 10) for m in range(3, n) for p in range(1, m - 1)]
+    out = {}
+    for name, method in (("default", None), ("bilinear", "bilinear")):
+        certs = (certificate_json(verify_contradiction(HoleParams(*t), method)) for t in triples)
+        out[name] = hashlib.sha256("\n".join(certs).encode()).hexdigest()
+    return out
+
+
 def test_matches_fixture():
     want = json.loads(FIXTURE.read_text())
     got = json.loads(json.dumps(snapshot()))
@@ -90,5 +103,10 @@ def test_matches_fixture():
     assert got["allowed_first_witt_indices"] == want["allowed_first_witt_indices"]
 
 
+def test_certificates_match_fixture():
+    assert certificate_digests() == json.loads(FIXTURE.read_text())["certificate_sha256"]
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
+    fixture = {**snapshot(), "certificate_sha256": certificate_digests()}
+    FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")

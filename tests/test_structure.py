@@ -325,6 +325,9 @@ def test_known_generator_shape():
     assert pi == sym(single(g, h(0), l(1)) + single(g, h(2), l(3)))
     with pytest.raises(ValueError):
         known_generator(g, 3)
+    for a in (0, -1, -3, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="positive integer"):
+            known_generator(QuadricGeometry(4), a)
 
 
 def test_check_known():
@@ -384,11 +387,15 @@ def test_i1_exclusion_raises_without_the_mirror_asymmetry(monkeypatch, row, fix)
         i1_exclusion_via_steenrod(5, 2)
 
 
-@pytest.mark.parametrize("dim", [1022, 2046, 4094])
+@pytest.mark.parametrize("dim", range(510, 4095, 512))
 def test_allowed_first_witt_indices_at_scale(dim):
-    """i1 <= 2^v, the largest power of 2 dividing dim - i1, over the candidates up to dim / 2."""
+    """i1 <= 2^v, the largest power of 2 dividing dim - i1, over the candidates up to dim / 2;
+    the same bound with v read off dim in place of dim - i1 is a different set."""
     want = {i1 for i1 in range(1, dim // 2 + 1) if i1 <= (dim - i1) & -(dim - i1)}
-    assert allowed_first_witt_indices(dim) == want
+    wrong = {i1 for i1 in range(1, dim // 2 + 1) if i1 <= dim & -dim}
+    got = allowed_first_witt_indices(dim)
+    assert got == want
+    assert got != wrong
 
 
 # ---------------------------------------------------------------------------
