@@ -13,17 +13,18 @@ and verifies that the cell h^a x l_(b-a-1) survives in every case.
 Its survival contradicts the small-quadric structure theorem, which is
 what rules out the corresponding dimension value.  Both methods read one
 table of target bits, built once per certificate with J+1 calls of
-steenrod_k and no composite.  Brute force walks the 2^(3J) cases flipping
-one part of mu at a time, with one bit of state.  With the tables warm, a
-certificate takes 0.005 / 0.011 s brute at (4,3,1) / (7,3,1), 0.07 / 0.24-0.33 s
-bilinear at (9,8,1) / (10,9,1); the first at D = 4 088, (11,3,1), takes
-0.18-0.26 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
+steenrod_k and no composite.  Brute force evaluates that table's quadratic
+form on all 2^(3J) cases at once, one bit per case.  With the tables warm, a
+certificate takes 0.0007 / 0.0045 / 0.09 s brute at (4,3,1) / (7,3,1) / (5,4,1)
+and 0.07 / 0.24-0.33 s bilinear at (9,8,1) / (10,9,1); the first at (11,3,1),
+D = 4 088, takes 0.18-0.26 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -82,7 +83,7 @@ class HoleParams:
 
     @property
     def d(self) -> int:
-        return sum(1 << i for i in range(self.m - 1, self.n)) + (1 << (self.p - 1)) - 1
+        return (1 << self.n) - self.b + self.a - 1
 
     @property
     def D(self) -> int:
@@ -99,10 +100,6 @@ class HoleParams:
     @property
     def n_b(self) -> int:
         return (self.d - self.a + 1) // self.b
-
-    @property
-    def n_c(self) -> int:
-        return (self.d - self.b - self.a + 1) // self.c
 
     @property
     def j_count(self) -> int:
@@ -223,30 +220,27 @@ def _target_rows(params: HoleParams, parts: list[Cycle]) -> list[int]:
     return rows
 
 
-def _walk(rows: list[int], lo: int, hi: int):
-    """Yield (case, target bit of xi) for cases lo..hi-1; bit k-1 of a case selects parts[k].
-
-    The walk starts from T = {0} and flips one part k at a time, which toggles
-    the bit by B[k][k] + sum of B[k][j] + B[j][k] over the other j in T.
-    """
-    cols = [sum((row >> k & 1) << x for x, row in enumerate(rows)) for k in range(len(rows))]
-    toggles = [(row >> k & 1, row ^ col) for k, (row, col) in enumerate(zip(rows, cols))]
-    bit, chosen = rows[0] & 1, 1  # bit x of chosen: parts[x] is in T
-    for case in range(lo, hi):
-        flips = (case << 1 | 1) ^ chosen
-        while flips:
-            k = flips.bit_length() - 1
-            flips ^= 1 << k
-            chosen ^= 1 << k
-            diagonal, mixed = toggles[k]  # bit k of mixed is 0, so chosen may hold k
-            bit ^= diagonal ^ ((mixed & chosen).bit_count() & 1)
-        yield case, bit
-
-
 def _brute_range(span) -> tuple[int, list[int]]:
-    """Cases lo..hi-1 checked and those among them where the target cell vanishes."""
+    """Cases lo..hi-1 checked and those among them where the target cell vanishes.
+
+    Bit k-1 of a case selects parts[k]; parts[0] is always in T.  Bit i of
+    sel[k] is 1 when case lo+i selects parts[k], so the target bit of xi,
+    the sum over x, y in T of bit y of rows[x], is evaluated for every case at once.
+    """
     rows, lo, hi = span
-    return hi - lo, [case for case, bit in _walk(rows, lo, hi) if not bit]
+    sel = [(1 << (hi - lo)) - 1]
+    for k in range(1, len(rows)):
+        half = 1 << (k - 1)
+        pattern, width = ((1 << half) - 1) << half, 2 * half  # half zeros, then half ones
+        while width < hi:
+            pattern, width = pattern | pattern << width, 2 * width
+        sel.append(pattern >> lo & sel[0])
+    fails = sel[0]  # a case fails where the form is 0
+    for x, row in enumerate(rows):
+        fails ^= sel[x] & reduce(xor, (s for y, s in enumerate(sel) if row >> y & 1), 0)
+    del sel  # frees the planes (2 MB each at J = 8) before the string of marks is built
+    marks = format(fails, f"0{hi - lo}b")[::-1]  # marks[i] is bit i
+    return hi - lo, [lo + m.start() for m in re.finditer("1", marks)]
 
 
 def verify_contradiction(

@@ -37,8 +37,9 @@ class IsotropySignature:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.a < 1:
-            raise ValueError("Witt index must be positive")
+        ints = all(type(v) is int for v in (self.a, self.D, *self.indices))  # no bool, no float
+        if not (ints and self.a >= 1):
+            raise ValueError(f"need an int Witt index a >= 1, int D and int indices; got {self}")
         if self.D < 2 * self.a:
             raise GeometryError(f"D={self.D} is too small for Witt index {self.a}")
         for i in self.indices:

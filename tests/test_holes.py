@@ -43,11 +43,16 @@ VALID_PARAMS = [
 def test_params_derived_values():
     p = HoleParams(4, 3, 1)
     assert (p.a, p.b, p.c, p.d, p.D) == (1, 4, 8, 12, 24)
-    assert (p.n_b, p.n_c, p.j_count) == (3, 1, 4)
+    assert (p.n_b, p.j_count) == (3, 4)
     assert p.dim_form == 26
     q = HoleParams(5, 4, 2)
     assert (q.a, q.b, q.c, q.d, q.D) == (2, 8, 16, 25, 50)
-    assert (q.n_b, q.n_c, q.j_count) == (3, 1, 4)
+    assert (q.n_b, q.j_count) == (3, 4)
+    for n in range(4, 13):
+        for m in range(3, n):
+            for pp in range(1, m - 1):
+                d = sum(1 << i for i in range(m - 1, n)) + (1 << (pp - 1)) - 1
+                assert HoleParams(n, m, pp).d == d, (n, m, pp)
 
 
 def test_params_validation():
@@ -242,6 +247,17 @@ def test_verify_both_methods(nmp):
     assert brute["cases"] == bilinear["cases"] == 4096
     assert brute["failures"] == [] and bilinear["failures"] == []
     assert brute["target"] == bilinear["target"]
+
+
+def test_verify_brute_at_J8_agrees_with_bilinear():
+    """2^24 cases in one process: every case is one bit of a 2 MB int."""
+    p = HoleParams(5, 4, 1)
+    assert p.j_count == 8
+    brute = verify_contradiction(p, method="brute")
+    bilinear = verify_contradiction(p, method="bilinear")
+    assert brute["cases"] == bilinear["cases"] == 1 << 24
+    assert brute["failures"] == [] and brute["passed"]
+    assert bilinear["failures"] == [] and bilinear["passed"]
 
 
 J4_PARAMS = [

@@ -37,6 +37,9 @@ def test_signature_validation():
         IsotropySignature(0, 8, (0,))
     with pytest.raises(GeometryError):
         IsotropySignature(3, 4, (0,))
+    for bad in [(1.5, 4, (1.5,)), (1, 4, (True,)), (1, 4.0, (1,)), (True, 4, (1,))]:
+        with pytest.raises(ValueError, match="need an int Witt index"):  # bools and non-ints
+            IsotropySignature(*bad)
     sig = IsotropySignature(2, 8, (1, 2, 2, 8))
     assert sig.s == 2 and sig.inner_geometry.D == 4
 

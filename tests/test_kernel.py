@@ -3,9 +3,9 @@
 The per-geometry tables are checked against the rule-based definitions the
 kernel used before it was table-driven; those rules live only here now.  The
 table of target bits is checked against its definition by compose and
-delta_q^*, one composite per block.  The brute certifier's walk over the
-defect selections (the target bit of xi updated from that table, one
-flipped part at a time) is checked case by case against the public build_xi.
+delta_q^*, one composite per block.  The brute certifier's evaluation of
+the defect selections (the quadratic form of that table, one bit per case)
+is checked case by case against the public build_xi.
 """
 
 import random
@@ -17,9 +17,9 @@ from chowq.basis import FactorTables, GeometryError, QuadricGeometry, _Images, h
 from chowq.correspondence import compose, delta_pullback_q
 from chowq.holes import (
     HoleParams,
+    _brute_range,
     _inner_parts,
     _target_rows,
-    _walk,
     build_mu_zero,
     build_xi,
     mu_prime_generators,
@@ -162,7 +162,7 @@ def test_factor_helpers_reject_factors_outside_the_geometry():
 
 
 # ---------------------------------------------------------------------------
-# the brute certifier's walk over the defect selections
+# the brute certifier's evaluation of every defect selection
 
 
 def _parts(params, gens):
@@ -188,12 +188,10 @@ def test_hoisted_xi_matches_build_xi(nmp):
     rng = random.Random(2004)
     for lo, hi in ((0, n_cases), (1000, 2500)):
         picked = range(lo, hi) if nmp == (4, 3, 1) else sorted(rng.sample(range(lo, hi), 64))
-        seen = []
-        for case, bit in _walk(rows, lo, hi):
-            if case in picked:
-                assert bit == (target in build_xi(_mu(parts, case), params)), case
-                seen.append(case)
-        assert seen == list(picked)
+        count, failures = _brute_range((rows, lo, hi))
+        assert count == hi - lo
+        for case in picked:
+            assert (case not in failures) == (target in build_xi(_mu(parts, case), params)), case
 
 
 def test_mutated_generators_fail_on_the_cases_build_xi_finds():
@@ -204,24 +202,29 @@ def test_mutated_generators_fail_on_the_cases_build_xi_finds():
     parts, rows = _parts(params, gens)
     target = target_cell(params)
     cases = range(1 << len(gens))
-    walked = {c for c, bit in _walk(rows, 0, len(cases)) if not bit}
-    direct = {c for c in cases if target not in build_xi(_mu(parts, c), params)}
-    assert walked == direct
-    assert walked
+    count, failures = _brute_range((rows, 0, len(cases)))
+    direct = [c for c in cases if target not in build_xi(_mu(parts, c), params)]
+    assert count == len(cases)
+    assert failures == direct
+    assert failures
 
 
-def test_walk_evaluates_the_quadratic_form_of_any_table():
-    """Random rows exercise the off-diagonal bits that the real blocks leave at 0."""
+def test_brute_range_evaluates_the_quadratic_form_of_any_table():
+    """Random rows exercise the off-diagonal bits that the real blocks leave at 0.
+
+    Spans start on and off a power of two, and a span may hold a single case."""
     rng = random.Random(2004)
     rows = [rng.getrandbits(9) for _ in range(9)]
-    for lo, hi in ((0, 256), (100, 200)):
-        cases = []
-        for case, bit in _walk(rows, lo, hi):
+    spans = [(0, 256), (100, 200), (37, 211), (255, 256), (0, 1), (77, 78)]
+    spans += [(lo, rng.randint(lo + 1, 256)) for lo in rng.sample(range(256), 20)]
+    for lo, hi in spans:
+        failures = []
+        for case in range(lo, hi):
             chosen = case << 1 | 1
             want = sum((row & chosen).bit_count() for x, row in enumerate(rows) if chosen >> x & 1)
-            assert bit == want & 1, case
-            cases.append(case)
-        assert cases == list(range(lo, hi))
+            if not want & 1:
+                failures.append(case)
+        assert _brute_range((rows, lo, hi)) == (hi - lo, failures), (lo, hi)
 
 
 # ---------------------------------------------------------------------------
