@@ -263,7 +263,7 @@ def _cmd_verify(args) -> int:
         print(f"error: unknown verification '{args.what}'", file=sys.stderr)
         return EXIT_USAGE
     params = HoleParams(args.n, args.m, args.p)
-    cert = verify_contradiction(params, method=args.method, jobs=args.jobs)
+    cert = verify_contradiction(params, method=args.method)
     if args.json:
         print(certificate_json(cert))
     else:
@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--method", choices=["brute", "bilinear"], default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("pattern", help="print a splitting-pattern formula")

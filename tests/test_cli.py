@@ -7,7 +7,7 @@ import subprocess
 import pytest
 
 from chowq.basis import QuadricGeometry, cycle_from_json, h, l, single
-from chowq.cli import _verdict, build_parser, main
+from chowq.cli import _verdict, main
 
 
 @pytest.fixture(autouse=True)
@@ -249,7 +249,7 @@ def test_check_missing_file(tmp_path, capsys):
 def test_verify_ok(capsys):
     code, out, _ = run(
         capsys, "verify", "--n", "4", "--m", "3", "--p", "1",
-        "--method", "bilinear", "--jobs", "1",
+        "--method", "bilinear",
     )
     assert code == 0
     assert "contradiction: PASS" in out
@@ -259,31 +259,34 @@ def test_verify_ok(capsys):
 def test_verify_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--n", "4", "--m", "3", "--p", "1",
-        "--method", "bilinear", "--jobs", "1", "--json",
+        "--method", "bilinear", "--json",
     )
     assert code == 0
     cert = json.loads(out)
     assert cert["passed"] is True and cert["method"] == "bilinear"
 
 
-def test_verify_runs_in_one_process_by_default():
-    args = build_parser().parse_args(["verify", "--n", "4", "--m", "3", "--p", "1"])
-    assert args.jobs == 1
-
-
 def test_verify_bad_params(capsys):
-    code, _, err = run(
-        capsys, "verify", "--n", "4", "--m", "3", "--p", "2", "--jobs", "1"
-    )
+    code, _, err = run(capsys, "verify", "--n", "4", "--m", "3", "--p", "2")
     assert code == 1 and "error" in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "2"])
 def test_verify_bad_job_count(capsys, jobs):
+    """The certifier runs in one process: --jobs is no option, whatever its value."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "4", "--m", "3", "--p", "1", "--jobs", jobs])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert "unrecognized arguments: --jobs" in out.err
+
+
+def test_verify_refuses_brute_force_above_its_limit(capsys):
     code, out, err = run(
-        capsys, "verify", "--n", "4", "--m", "3", "--p", "1", "--jobs", jobs
+        capsys, "verify", "--n", "6", "--m", "5", "--p", "1", "--method", "brute"
     )
-    assert code == 1 and out == "" and "jobs must be at least 1" in err
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--method bilinear" in err
 
 
 def test_verify_unknown_kind(capsys):

@@ -1,6 +1,10 @@
 """Tests for the triple-power construction and the dimension-gap formulas."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -357,72 +361,29 @@ def test_verify_bilinear_at_D_1016():
     assert cert["failures"] == [] and cert["blocks"]["0,0"] == 1
 
 
-def test_verify_parallel_matches():
+@pytest.mark.parametrize("method", ["brute", "bilinear"])
+def test_verify_runs_in_one_process(method):
     p = HoleParams(4, 3, 1)
-    serial = verify_contradiction(p, method="brute")
-    parallel = verify_contradiction(p, method="brute", jobs=2)
-    assert parallel["passed"] and parallel["cases"] == serial["cases"]
+    for jobs in (0, 2, -1):
+        with pytest.raises(ValueError, match="one process"):
+            verify_contradiction(p, method=method, jobs=jobs)
+    assert verify_contradiction(p, method=method, jobs=1) == verify_contradiction(p, method=method)
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool with one that records its size and maps in this process.
-
-    It reports 2 CPUs whatever the host, so the capped pool sizes do not depend on it.
-    """
-    sizes = []
-    monkeypatch.setattr(holes.os, "cpu_count", lambda: 2)
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(holes, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+def test_verify_refuses_brute_force_above_its_limit(monkeypatch):
+    """J = 16 is 2^48 cases: refused before mu0, the generators or the table is built."""
+    p = HoleParams(6, 5, 1)
+    monkeypatch.setattr(holes, "build_mu_zero", None)  # a build would raise TypeError
+    with pytest.raises(ValueError, match=r"281474976710656 cases.*--method bilinear"):
+        verify_contradiction(p, method="brute")
 
 
-def test_verify_brute_merges_failures(monkeypatch, pool_sizes):
-    monkeypatch.setattr(holes, "mu_prime_generators", _mutated_generators)
-    certs = [
-        verify_contradiction(HoleParams(4, 3, 1), method="brute", jobs=jobs)
-        for jobs in (1, 2, 3)
-    ]
-    assert pool_sizes == [2, 2]  # jobs=3 makes 3 ranges on 2 CPUs
-    for cert in certs:
-        assert cert["passed"] is False and cert["cases"] == 4096
-        assert len(cert["failures"]) == 2048
-        assert cert["failures"] == certs[0]["failures"]
-
-
-def test_verify_pool_has_at_most_one_worker_per_range(pool_sizes):
-    p = HoleParams(4, 3, 1)
-    cert = verify_contradiction(p, method="brute", jobs=5000)  # 4096 cases: ranges of 1
-    assert pool_sizes == [2]  # one worker per CPU, not per range
-    assert cert["passed"] and cert["cases"] == 4096
-
-
-def test_verify_pool_has_one_worker_when_the_cpu_count_is_unknown(monkeypatch, pool_sizes):
-    monkeypatch.setattr(holes.os, "cpu_count", lambda: None)
-    cert = verify_contradiction(HoleParams(4, 3, 1), method="brute", jobs=8)
-    assert pool_sizes == [1]
-    assert cert["passed"] and cert["cases"] == 4096
-
-
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_verify_rejects_job_counts_below_one(jobs, pool_sizes):
-    for method in ("brute", "bilinear"):
-        with pytest.raises(ValueError, match="jobs"):
-            verify_contradiction(HoleParams(4, 3, 1), method=method, jobs=jobs)
-    assert pool_sizes == []
+def test_import_loads_no_process_pool():
+    """A fresh interpreter imports the chowq under test and nothing of a process pool."""
+    code = "import sys, chowq; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(holes.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_default_method_and_errors():

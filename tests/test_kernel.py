@@ -17,7 +17,7 @@ from chowq.basis import FactorTables, GeometryError, QuadricGeometry, _Images, h
 from chowq.correspondence import compose, delta_pullback_q
 from chowq.holes import (
     HoleParams,
-    _brute_range,
+    _brute,
     _inner_parts,
     _target_rows,
     build_mu_zero,
@@ -180,18 +180,19 @@ def _mu(parts, selection):
 
 @pytest.mark.parametrize("nmp", [(4, 3, 1), (5, 4, 2)])
 def test_hoisted_xi_matches_build_xi(nmp):
-    """Every selection at (4,3,1), 64 seeded ones at (5,4,2); each from 0 and mid-way."""
+    """Every selection at (4,3,1); at (5,4,2) 64 seeded ones, and 64 more from 1000..2499."""
     params = HoleParams(*nmp)
     target = target_cell(params)
     parts, rows = _parts(params, mu_prime_generators(params))
     n_cases = 1 << (len(parts) - 1)
     rng = random.Random(2004)
-    for lo, hi in ((0, n_cases), (1000, 2500)):
-        picked = range(lo, hi) if nmp == (4, 3, 1) else sorted(rng.sample(range(lo, hi), 64))
-        count, failures = _brute_range((rows, lo, hi))
-        assert count == hi - lo
-        for case in picked:
-            assert (case not in failures) == (target in build_xi(_mu(parts, case), params)), case
+    if nmp == (4, 3, 1):
+        picked = range(n_cases)
+    else:
+        picked = rng.sample(range(n_cases), 64) + rng.sample(range(1000, 2500), 64)
+    failures = set(_brute(rows))
+    for case in picked:
+        assert (case not in failures) == (target in build_xi(_mu(parts, case), params)), case
 
 
 def test_mutated_generators_fail_on_the_cases_build_xi_finds():
@@ -201,30 +202,25 @@ def test_mutated_generators_fail_on_the_cases_build_xi_finds():
     gens[3] = chi + single(params.geometry, *chi.sorted_terms()[0])
     parts, rows = _parts(params, gens)
     target = target_cell(params)
-    cases = range(1 << len(gens))
-    count, failures = _brute_range((rows, 0, len(cases)))
-    direct = [c for c in cases if target not in build_xi(_mu(parts, c), params)]
-    assert count == len(cases)
-    assert failures == direct
-    assert failures
+    direct = [c for c in range(1 << len(gens)) if target not in build_xi(_mu(parts, c), params)]
+    assert _brute(rows) == direct
+    assert direct
 
 
-def test_brute_range_evaluates_the_quadratic_form_of_any_table():
+@pytest.mark.parametrize("size", range(1, 11))
+def test_brute_evaluates_the_quadratic_form_of_any_table(size):
     """Random rows exercise the off-diagonal bits that the real blocks leave at 0.
 
-    Spans start on and off a power of two, and a span may hold a single case."""
-    rng = random.Random(2004)
-    rows = [rng.getrandbits(9) for _ in range(9)]
-    spans = [(0, 256), (100, 200), (37, 211), (255, 256), (0, 1), (77, 78)]
-    spans += [(lo, rng.randint(lo + 1, 256)) for lo in rng.sample(range(256), 20)]
-    for lo, hi in spans:
-        failures = []
-        for case in range(lo, hi):
-            chosen = case << 1 | 1
-            want = sum((row & chosen).bit_count() for x, row in enumerate(rows) if chosen >> x & 1)
-            if not want & 1:
-                failures.append(case)
-        assert _brute_range((rows, lo, hi)) == (hi - lo, failures), (lo, hi)
+    1 to 10 parts make planes of 1 to 512 cases."""
+    rng = random.Random(2004 + size)
+    rows = [rng.getrandbits(size) for _ in range(size)]
+    failures = []
+    for case in range(1 << (size - 1)):
+        chosen = case << 1 | 1
+        want = sum((row & chosen).bit_count() for x, row in enumerate(rows) if chosen >> x & 1)
+        if not want & 1:
+            failures.append(case)
+    assert _brute(rows) == failures
 
 
 # ---------------------------------------------------------------------------
