@@ -97,7 +97,6 @@ from .structure import (
     check_forbidden,
     check_known,
     check_minimal_diagonal,
-    check_neravenstva,
     check_pairs,
     check_springer,
     closure,

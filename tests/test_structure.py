@@ -22,7 +22,6 @@ from chowq.structure import (
     check_forbidden,
     check_known,
     check_minimal_diagonal,
-    check_neravenstva,
     check_pairs,
     check_springer,
     closure,
@@ -306,13 +305,6 @@ def test_even_essential():
     assert not check_even_essential(single(g, h(0), l(0))).passed
     # below dimension D the parity constraint does not apply
     assert check_even_essential(single(g, h(2), l(0))).passed
-
-
-def test_neravenstva():
-    assert check_neravenstva(2, 1, True).passed
-    assert not check_neravenstva(2, 1, False).passed
-    assert check_neravenstva(1, 5, False).passed
-    assert not check_neravenstva(3, 1, True).passed
 
 
 # ---------------------------------------------------------------------------
