@@ -216,6 +216,19 @@ class CoordinateMaps:
     def essential(self) -> int:
         return sum([1 << k for k, t in enumerate(self.terms) if term_is_essential(t)])
 
+    @cached_property
+    def slot_shifts(self) -> list[tuple[int, int, int]]:
+        """(hmask, lmask, stride) per slot i: v times h^0 x .. x h^1 (slot i) x .. x h^0
+        is (v & hmask) << stride | (v & lmask) >> stride.  Slot i is the base-(2d+2)
+        digit of stride (2d+2)^(r-1-i), h^j -> h^(j+1) (j < d), l_j -> l_(j-1) (j > 0)."""
+        d, n, out = self.tables.d, len(self.terms), []
+        for stride in [n // (2 * d + 2) ** i for i in range(1, len(self.terms[0]) + 1)]:
+            period = (2 * d + 2) * stride  # the masks of one period, repeated n / period times
+            repeat = ((1 << n) - 1) // ((1 << period) - 1)
+            hmask, lmask = (1 << d * stride) - 1, (1 << period) - (1 << (d + 2) * stride)
+            out.append((hmask * repeat, lmask * repeat, stride))
+        return out
+
     def _steenrod(self, k: int) -> int:
         images = self.tables.steenrod
         return sum([1 << self.index[p] for p in product(*map(images.__getitem__, self.terms[k]))])

@@ -49,6 +49,20 @@ class Gf2Subspace:
         self._pivots |= low
         return True
 
+    @classmethod
+    def disjoint_union(cls, pieces: Iterable["Gf2Subspace"]) -> "Gf2Subspace":
+        """The sum of subspaces with pairwise disjoint supports, their rows joined
+        unreduced (no row meets another's pivot); ValueError when two overlap."""
+        out, seen = cls(), 0
+        for piece in pieces:
+            support = piece.support()
+            if support & seen:
+                raise ValueError("the supports of two pieces overlap")
+            seen |= support
+            out._rows.update(piece._rows)
+            out._pivots |= piece._pivots
+        return out
+
     def rows(self) -> list[int]:
         """Echelon rows sorted by pivot position."""
         return [self._rows[p] for p in sorted(self._rows)]
@@ -59,10 +73,7 @@ class Gf2Subspace:
         return self._rows == other._rows
 
     def copy(self) -> "Gf2Subspace":
-        out = Gf2Subspace()
-        out._rows = dict(self._rows)
-        out._pivots = self._pivots
-        return out
+        return self.disjoint_union([self])
 
     def support(self) -> int:
         """Bit union of all rows (the coordinates met by some member)."""
@@ -72,19 +83,13 @@ class Gf2Subspace:
         return u
 
     def enumerate(self, cap: int = 1 << 20) -> Iterator[int]:
-        """All members of the subspace; guarded against huge ranks."""
+        """All members of the subspace in Gray-code order; guarded against huge ranks."""
         if 1 << self.rank > cap:
             raise ValueError(f"subspace too large to enumerate (rank {self.rank})")
-        rows = self.rows()
-        for mask in range(1 << len(rows)):
-            v = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    v ^= rows[i]
-                m >>= 1
-                i += 1
+        rows, v = self.rows(), 0
+        yield v
+        for step in range(1, 1 << len(rows)):  # each step flips the row of its lowest bit
+            v ^= rows[(step & -step).bit_length() - 1]
             yield v
 
 

@@ -238,12 +238,14 @@ def closure(family: RationalFamily) -> RationalFamily:
     diagonal, the slot generators h^0 x .. x h^1 x .. x h^0 and every
     push-forward image are generators; transposition images and products are
     not; a Steenrod component or a pull-back h^0 x c keeps the flag of the
-    vector it came from.  A generator taken from the queue is multiplied by
-    itself and by every earlier vector of its arity, any other vector by the
-    earlier generators of its arity, skipping the pairs of dimensions adding
-    up to less than r*D (such a product vanishes).  A product forms only the
-    term pairs that the per-slot masks of each queued vector (built on first
-    use) show to be non-zero.
+    vector it came from.  After its images, a vector taken from the queue is
+    multiplied by the r unqueued slot generators (CoordinateMaps.slot_shifts);
+    a generator then by itself and every earlier vector of its arity, any
+    other vector by the earlier generators of its arity, skipping the pairs of
+    dimensions adding up to less than r*D (such a product vanishes).  A
+    product forms only the term pairs that the per-slot masks of each queued
+    vector (built on first use) show to be non-zero.  Each (arity, dimension)
+    grows its own echelon: rows of two dimensions share no bit.
 
     Why the span A is still closed under products.  Let C = {a in A : A*a is
     in A}, a subspace.  Every generator is in C: its product with each queued
@@ -264,23 +266,19 @@ def closure(family: RationalFamily) -> RationalFamily:
     """
     geometry, top = family.geometry, family.max_arity
     tables = geometry.tables
-    fam = RationalFamily(geometry, top, splitting=family.splitting)
     queue: deque[tuple[int, int, bool]] = deque()
     earlier: dict[int, list[_Entry]] = {r: [] for r in range(1, top + 1)}
     generators: dict[int, list[_Entry]] = {r: [] for r in range(1, top + 1)}
+    pieces = {r: [Gf2Subspace() for _ in tables.maps[r].dim_masks] for r in range(1, top + 1)}
 
     def feed(r: int, v: int, generator: bool) -> None:
-        if v and fam.groups[r].add(v):
+        if v and pieces[r][tables.maps[r].dims[(v & -v).bit_length() - 1]].add(v):
             queue.append((r, v, generator))
 
     for r in range(1, top + 1):
-        maps, top_dim = tables.maps[r], r * geometry.D
-        for t in itertools.product(tables.h, repeat=r):
-            k = maps.index[t]
-            fam.groups[r].add(1 << k)
-            if maps.dims[k] == top_dim - 1:  # h^1 in one slot: a slot generator
-                earlier[r].append(_Entry(maps, 1 << k))
-        generators[r].extend(earlier[r])
+        maps = tables.maps[r]
+        for k in map(maps.index.__getitem__, itertools.product(tables.h, repeat=r)):
+            pieces[r][maps.dims[k]].add(1 << k)
         for v in family.groups[r].rows():
             for m in maps.dim_masks:
                 feed(r, v & m, True)
@@ -299,6 +297,8 @@ def closure(family: RationalFamily) -> RationalFamily:
             feed(r + 1, v, generator)  # h^0 x c has the coordinates of c
         if r >= 2:
             feed(r - 1, maps.pushforward(v), True)
+        for hmask, lmask, stride in maps.slot_shifts:
+            feed(r, (v & hmask) << stride | (v & lmask) >> stride, False)
         earlier[r].append(mine)
         if generator:
             generators[r].append(mine)
@@ -306,8 +306,8 @@ def closure(family: RationalFamily) -> RationalFamily:
         for e in earlier[r] if generator else generators[r]:
             if e.dimension >= floor:
                 feed(r, _product_vector(tables, index, mine, e), False)
-    fam.closed = True
-    return fam
+    groups = {r: Gf2Subspace.disjoint_union(p) for r, p in pieces.items()}
+    return RationalFamily(geometry, top, groups, family.splitting, closed=True)
 
 
 def _require_closed(family: RationalFamily) -> None:

@@ -246,7 +246,8 @@ def test_generator_products_on_mutations():
 
 
 def test_products_taken_at_d8_arity4(monkeypatch):
-    """A regression bound on work: the all-pairs rule takes 243 289 products here."""
+    """A regression bound on work: the all-pairs rule takes 243 289 products here.
+    Products with the slot generators are shifts and do not count (1 734 in all)."""
     calls, product_vector = [], structure._product_vector
 
     def counted(*args):
@@ -257,4 +258,4 @@ def test_products_taken_at_d8_arity4(monkeypatch):
     g = QuadricGeometry(8)
     fam = closure(family_from_generators(g, 4, [known_generator(g, 1)]))
     assert {r: s.rank for r, s in fam.groups.items()} == {1: 5, 2: 30, 3: 200, 4: 1436}
-    assert len(calls) < 10_000
+    assert len(calls) < 2_500

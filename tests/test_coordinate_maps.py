@@ -5,9 +5,10 @@ with D <= 4 at arity 4 (so the third transposition is met), the image of its
 coordinate under each map of CoordinateMaps is the encoding of the Cycle-level
 image: each adjacent transpose (the term reordered by transpositions[i]),
 steenrod_total, and the first-projection pull-back and push-forward.  The
-dimension masks cut out homogeneous_components.  The maps are linear, so a sum
-of terms is checked too, where images cancel mod 2.  A table with one Steenrod
-bit flipped fails.
+dimension masks cut out homogeneous_components, and each slot shift is the
+product with that slot's generator h^0 x .. x h^1 x .. x h^0.  The maps are
+linear, so a sum of terms is checked too, where images cancel mod 2.  A table
+with one Steenrod bit flipped fails.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from chowq.basis import Cycle, QuadricGeometry, apply_table, single
 from chowq.correspondence import pullback_projection, pushforward_projection
 from chowq.ring import homogeneous_components, transpose
 from chowq.steenrod import steenrod_total
-from chowq.structure import encode_cycle
+from chowq.structure import _Entry, _product_vector, encode_cycle
 
 CASES = [(D, r) for D in range(0, 9) for r in range(1, 4)] + [(D, 4) for D in range(0, 5)]
 
@@ -65,3 +66,20 @@ def test_a_flipped_steenrod_bit_is_caught(D):
     mutated[k] ^= 1 << maps.index[(g.tables.h[0], g.tables.l[0])]
     assert mismatches(maps, mutated, single(g, *t)) == ["steenrod"]
     assert mismatches(maps, maps.steenrod, single(g, *t)) == []
+
+
+@pytest.mark.parametrize("D, r", CASES)
+def test_slot_shifts_are_the_products_with_the_slot_generators(D, r):
+    g = QuadricGeometry(D)
+    tables, maps = g.tables, g.tables.maps[r]
+    assert len(maps.slot_shifts) == r
+    for i, (hmask, lmask, stride) in enumerate(maps.slot_shifts):
+        if g.d == 0:  # no h^1: the slot generator is zero
+            assert hmask == lmask == 0
+            continue
+        slot = (tables.h[0],) * i + (tables.h[1],) + (tables.h[0],) * (r - 1 - i)
+        generator = _Entry(maps, 1 << maps.index[slot])
+        for k, t in enumerate(maps.terms):
+            v = 1 << k
+            want = _product_vector(tables, maps.index, _Entry(maps, v), generator)
+            assert (v & hmask) << stride | (v & lmask) >> stride == want, (i, t)

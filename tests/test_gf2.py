@@ -79,3 +79,26 @@ def test_closure_under_sums(vectors, seed):
     if vectors:
         fresh = 1 << 30
         assert s.reduce(vectors[0] ^ fresh) == fresh
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_disjoint_union_of_homogeneous_pieces(seed):
+    """Pieces over disjoint bit ranges, like the dimensions of a grading, join to
+    the subspace of all their rows; overlapping supports raise ValueError."""
+    rng = random.Random(seed)
+    width = rng.randint(1, 8)
+    vectors = [[rng.getrandbits(width) << width * p for _ in range(rng.randint(0, 6))] for p in range(5)]
+    pieces = [Gf2Subspace(piece) for piece in vectors]
+    joined = Gf2Subspace.disjoint_union(pieces)
+    assert joined == Gf2Subspace([v for piece in vectors for v in piece])
+    assert all(v in joined for piece in vectors for v in piece)  # the pivots came along
+    support = joined.support()
+    if support:  # a piece meeting one bit of another's support
+        with pytest.raises(ValueError):
+            Gf2Subspace.disjoint_union(pieces + [Gf2Subspace([support & -support])])
+
+
+def test_disjoint_union_rejects_overlapping_supports():
+    with pytest.raises(ValueError, match="overlap"):
+        Gf2Subspace.disjoint_union([Gf2Subspace([0b011]), Gf2Subspace([0b110])])
+    assert Gf2Subspace.disjoint_union([]) == Gf2Subspace()
