@@ -105,7 +105,6 @@ from .structure import (
     decode_cycle,
     family_from_generators,
     forbidden_cells,
-    i1_exclusion_via_steenrod,
     known_generator,
     minimal_cycles,
     primordial_cycles,

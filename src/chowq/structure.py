@@ -46,7 +46,6 @@ from .correspondence import derivative, diagonal_class
 from .gf2 import Gf2Subspace
 from .isotropy import pr_all
 from .ring import essential_part, sym, transpose
-from .steenrod import steenrod_k
 
 # ---------------------------------------------------------------------------
 # coordinates: cycles <-> int bitsets over the canonical basis order
@@ -629,57 +628,31 @@ def check_known(family: RationalFamily, splitting: SplittingData) -> CheckResult
 
 
 # ---------------------------------------------------------------------------
-# first-index exclusion via the Steenrod operation
-
-
-def i1_exclusion_via_steenrod(D: int, i1_candidate: int) -> str:
-    """Mechanize the 2-adic bound on the first higher Witt index.
-
-    With dim(form) = D + 2 and 2^r the largest power of two dividing
-    dim(form) - i1: a candidate i1 > 2^r is refuted by applying the order
-    2^r Steenrod operation to the forced top cycle and exhibiting a mirror
-    asymmetry; otherwise the candidate survives.  Returns "excluded" or
-    "not-excluded".
-
-    S^k keeps each factor's kind, raises h^i to h^(i+k) and lowers l_i to
-    l_(i-k), so only h^0 x l_(i1-1), a cell of the known cycle, reaches the
-    target h^0 x l_(i1-1-2^r), and only l_(i1-1+k) x h^k with 0 <= k <= 2^r
-    reaches the partner l_(i1-1) x h^(2^r), through S^k x S^(2^r-k); k = 0
-    is the other cell of the known cycle.  Every other such cell that exists
-    (i1 - 1 + k <= d) has 1 <= k <= 2^r < i1, so the first shell alone
-    forbids it to the hypothetical top cycle: it is the cell x = k, y = k +
-    i1 - 1 of forbidden_cells with q = 1 and k = i1.  Nothing can cancel the
-    asymmetry, and a candidate that reaches the check is excluded.
-    """
-    if i1_candidate < 1:
-        raise ValueError("the first Witt index must be positive")
-    dim_form = D + 2
-    v = dim_form - i1_candidate
-    if v <= 0:
-        raise ValueError("candidate exceeds the dimension of the form")
-    two_r = v & -v
-    if i1_candidate <= two_r:
-        return "not-excluded"
-
-    geometry = QuadricGeometry(D)
-    i1 = i1_candidate
-    target = (h(0), l(i1 - 1 - two_r))
-    partner = (l(i1 - 1), h(two_r))
-    image = steenrod_k(binary_cycle(geometry, i1 - 1), two_r)
-    if target not in image.terms or partner in image.terms:
-        raise RuntimeError(f"S_{two_r} of the top cycle is not mirror-asymmetric at i1={i1}")
-    return "excluded"
+# first Witt index: Karpenko's bound in closed form
 
 
 def allowed_first_witt_indices(dim_form: int) -> set[int]:
-    """Candidates for the first higher Witt index surviving the 2-adic exclusion."""
-    if dim_form < 3:
-        raise ValueError("the form must have dimension at least 3")
-    return {
-        i1
-        for i1 in range(1, dim_form // 2 + 1)
-        if i1_exclusion_via_steenrod(dim_form - 2, i1) == "not-excluded"
-    }
+    """The first higher Witt indices i1 <= dim_form / 2 with i1 <= 2^v2(dim_form - i1).
+
+    That is Karpenko's bound (On the first Witt index of quadratic forms, Invent.
+    Math. 2003).  Its Steenrod witness needs no computation.  For i1 > 2^r, 2^r the
+    lowest set bit of dim_form - i1, S^(2^r)(h^0 x l_(i1-1) + l_(i1-1) x h^0) has the
+    target h^0 x l_(i1-1-2^r) with coefficient C(dim_form - i1, 2^r), odd by Lucas as
+    2^r is a set bit; the partner l_(i1-1) x h^(2^r) needs S^(2^r)(h^0) = 0, so the
+    image is mirror-asymmetric and i1 is excluded.
+
+    An allowed i1, with 2^v the lowest set bit of dim_form - i1, is dim_form mod 2^v
+    (2^v when that is 0), and 2^v <= dim_form - i1 < dim_form: one candidate per v.
+    """
+    if type(dim_form) is not int or dim_form < 3:  # no bool, no float
+        raise ValueError(f"the form must have dimension at least 3; got {dim_form!r}")
+    allowed = set()
+    for v in range(dim_form.bit_length()):
+        i1 = dim_form % (1 << v) or 1 << v
+        rest = dim_form - i1
+        if i1 <= dim_form // 2 and rest & -rest >= i1:
+            allowed.add(i1)
+    return allowed
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +730,6 @@ __all__ = [
     "encode_cycle",
     "family_from_generators",
     "forbidden_cells",
-    "i1_exclusion_via_steenrod",
     "known_generator",
     "minimal_cycles",
     "primordial_cycles",

@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
-from chowq import structure
+from chowq import basis, structure
 from chowq.basis import GeometryError, QuadricGeometry, enumerate_basis, h, l, single
 from chowq.correspondence import diagonal_class
 from chowq.gf2 import Gf2Subspace
 from chowq.isotropy import all_signatures, pr_multi
 from chowq.ring import mul, sym, transpose
+from chowq.steenrod import steenrod_k
 from chowq.structure import (
     FamilyError,
     RationalFamily,
@@ -30,7 +31,6 @@ from chowq.structure import (
     encode_cycle,
     family_from_generators,
     forbidden_cells,
-    i1_exclusion_via_steenrod,
     known_generator,
     minimal_cycles,
     primordial_cycles,
@@ -334,7 +334,46 @@ def test_check_known():
 
 
 # ---------------------------------------------------------------------------
-# first-index exclusion
+# first-index exclusion: the Steenrod witness of Karpenko's bound is the oracle
+
+
+def i1_exclusion_via_steenrod(D: int, i1_candidate: int) -> str:
+    """Mechanize the 2-adic bound on the first higher Witt index.
+
+    With dim(form) = D + 2 and 2^r the largest power of two dividing
+    dim(form) - i1: a candidate i1 > 2^r is refuted by applying the order
+    2^r Steenrod operation to the forced top cycle and exhibiting a mirror
+    asymmetry; otherwise the candidate survives.  Returns "excluded" or
+    "not-excluded".
+
+    S^k keeps each factor's kind, raises h^i to h^(i+k) and lowers l_i to
+    l_(i-k), so only h^0 x l_(i1-1), a cell of the known cycle, reaches the
+    target h^0 x l_(i1-1-2^r), and only l_(i1-1+k) x h^k with 0 <= k <= 2^r
+    reaches the partner l_(i1-1) x h^(2^r), through S^k x S^(2^r-k); k = 0
+    is the other cell of the known cycle.  Every other such cell that exists
+    (i1 - 1 + k <= d) has 1 <= k <= 2^r < i1, so the first shell alone
+    forbids it to the hypothetical top cycle: it is the cell x = k, y = k +
+    i1 - 1 of forbidden_cells with q = 1 and k = i1.  Nothing can cancel the
+    asymmetry, and a candidate that reaches the check is excluded.
+    """
+    if i1_candidate < 1:
+        raise ValueError("the first Witt index must be positive")
+    dim_form = D + 2
+    v = dim_form - i1_candidate
+    if v <= 0:
+        raise ValueError("candidate exceeds the dimension of the form")
+    two_r = v & -v
+    if i1_candidate <= two_r:
+        return "not-excluded"
+
+    geometry = QuadricGeometry(D)
+    i1 = i1_candidate
+    target = (h(0), l(i1 - 1 - two_r))
+    partner = (l(i1 - 1), h(two_r))
+    image = steenrod_k(binary_cycle(geometry, i1 - 1), two_r)
+    if target not in image.terms or partner in image.terms:
+        raise RuntimeError(f"S_{two_r} of the top cycle is not mirror-asymmetric at i1={i1}")
+    return "excluded"
 
 
 def test_i1_exclusion():
@@ -347,11 +386,28 @@ def test_i1_exclusion():
         i1_exclusion_via_steenrod(5, 10)
 
 
+def _oracle_set(dim):
+    return {
+        i1
+        for i1 in range(1, dim // 2 + 1)
+        if i1_exclusion_via_steenrod(dim - 2, i1) == "not-excluded"
+    }
+
+
 def test_allowed_first_witt_indices():
     assert allowed_first_witt_indices(7) == {1, 3}
     assert allowed_first_witt_indices(26) == {1, 2, 10}
-    with pytest.raises(ValueError):
-        allowed_first_witt_indices(2)
+    for bad in (2, True, 7.0, "7"):
+        with pytest.raises(ValueError, match="at least 3"):
+            allowed_first_witt_indices(bad)
+    for dim in range(3, 301):
+        assert allowed_first_witt_indices(dim) == _oracle_set(dim), dim
+
+
+def test_allowed_first_witt_indices_builds_no_table():
+    before = set(basis._TABLES)
+    assert allowed_first_witt_indices(2**40 + 6) == {1, 2, 6}
+    assert set(basis._TABLES) <= before
 
 
 def test_partner_cells_of_an_excluded_candidate_are_first_shell_forbidden():
@@ -381,11 +437,13 @@ def test_i1_exclusion_raises_without_the_mirror_asymmetry(monkeypatch, row, fix)
 
 @pytest.mark.parametrize("dim", range(510, 4095, 512))
 def test_allowed_first_witt_indices_at_scale(dim):
-    """i1 <= 2^v, the largest power of 2 dividing dim - i1, over the candidates up to dim / 2;
-    the same bound with v read off dim in place of dim - i1 is a different set."""
+    """The closed form against the Steenrod oracle, and against i1 <= 2^v, the largest power
+    of 2 dividing dim - i1, over the candidates up to dim / 2; the same bound with v read off
+    dim in place of dim - i1 is a different set."""
     want = {i1 for i1 in range(1, dim // 2 + 1) if i1 <= (dim - i1) & -(dim - i1)}
     wrong = {i1 for i1 in range(1, dim // 2 + 1) if i1 <= dim & -dim}
     got = allowed_first_witt_indices(dim)
+    assert got == _oracle_set(dim)
     assert got == want
     assert got != wrong
 
