@@ -44,11 +44,9 @@ from .holes import (
     build_chi,
     build_mu_zero,
     build_xi,
-    check_min_splitting,
     dim_In_set,
     first_summand_formula,
     forced_witt_sequence,
-    gap_certificate,
     mu_prime_generators,
     small_splitting_pattern,
     target_cell,

@@ -42,7 +42,7 @@ from .basis import (
 from .correspondence import compose, delta_pullback_q
 from .ring import external_product, mul, sym, transpose
 from .steenrod import steenrod_k
-from .structure import SplittingData, _is_power_of_two, _staircase
+from .structure import SplittingData, _staircase
 
 BRUTE_THRESHOLD = 1 << 20
 BRUTE_LIMIT = 1 << 24  # J = 8: 25 planes of 2 MB
@@ -315,6 +315,8 @@ def certificate_json(cert: dict) -> str:
 
 def dim_In_set(n: int, cap: int) -> set[int]:
     """Realized dimensions of anisotropic forms in the n-th power ideal, up to cap."""
+    if type(cap) is not int:  # no bool, no float
+        raise ValueError(f"need an int cap, got cap={cap!r}")
     out = {v for v in small_splitting_pattern(n, 1) if v <= cap}
     out.update(range(1 << (n + 1), cap + 1, 2))
     return out
@@ -324,50 +326,18 @@ def small_splitting_pattern(n: int, m: int) -> set[int]:
     """Anisotropic-kernel dimensions of a small form: 2^(n+1) - 2^i for i = m..n+1.
 
     The formula needs n >= 1: I^0 = W(F) holds forms of every dimension."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if not 1 <= m <= n + 1:
-        raise ValueError(f"need 1 <= m <= n+1, got m={m}")
+    if type(n) is not int or n < 1:  # no bool, no float
+        raise ValueError(f"need n >= 1, got n={n!r}")
+    if type(m) is not int or not 1 <= m <= n + 1:
+        raise ValueError(f"need 1 <= m <= n+1, got m={m!r}")
     return {(1 << (n + 1)) - (1 << i) for i in range(m, n + 2)}
 
 
 def vishik_pattern(n: int, m: int) -> set[int]:
     """The realizable splitting pattern with an even-dimensional tail up to m * 2^n."""
+    if type(m) is not int:  # no bool, no float; m < 2 leaves the tail empty
+        raise ValueError(f"need an int m, got m={m!r}")
     return small_splitting_pattern(n, 1) | dim_In_set(n, m << n)
-
-
-def gap_certificate(pattern: set[int]) -> tuple[bool, list[tuple[int, int, int]]]:
-    """Check every jump of size > 2 against the binary-size restriction.
-
-    For adjacent values b < c the quadric realizing the jump has
-    dim - i1 + 1 = (b + c)/2 - 1, which must be a power of 2 strictly
-    inside (b, c).  A jump is exempt when the next jump up is exactly
-    half its size: such pairs belong to the halving head chain of a
-    small form, where the restriction argument does not apply.  Returns
-    (passed, violations as (b, c, witness)).
-    """
-    values = sorted(pattern)
-    gaps = [hi - lo for lo, hi in zip(values, values[1:])]
-    bad = []
-    for k, (lo, hi) in enumerate(zip(values, values[1:])):
-        g = gaps[k]
-        if g <= 2:
-            continue
-        if k + 1 < len(gaps) and 2 * gaps[k + 1] == g:
-            continue
-        w = (lo + hi) // 2 - 1
-        if not (_is_power_of_two(w) and lo < w < hi):
-            bad.append((lo, hi, w))
-    return (not bad, bad)
-
-
-def check_min_splitting(n: int, pattern: set[int]) -> bool:
-    """The least positive pattern value must be a power of 2 of size at least 2^n."""
-    positive = [v for v in pattern if v > 0]
-    if not positive:
-        return False
-    least = min(positive)
-    return least >= (1 << n) and _is_power_of_two(least)
 
 
 __all__ = [
@@ -378,11 +348,9 @@ __all__ = [
     "build_mu_zero",
     "build_xi",
     "certificate_json",
-    "check_min_splitting",
     "dim_In_set",
     "first_summand_formula",
     "forced_witt_sequence",
-    "gap_certificate",
     "mu_prime_generators",
     "small_splitting_pattern",
     "target_cell",

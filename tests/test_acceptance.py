@@ -18,7 +18,6 @@ from chowq.holes import (
     build_xi,
     dim_In_set,
     first_summand_formula,
-    gap_certificate,
     small_splitting_pattern,
     target_cell,
     verify_contradiction,
@@ -208,6 +207,15 @@ def test_criterion_09_first_index_exclusion():
         assert allowed_first_witt_indices(dim) == predicate, dim
 
 
+def _descending_jumps(pattern):
+    values = sorted(pattern, reverse=True)
+    return list(zip(values, values[1:]))
+
+
+def _karpenko_allows(hi, lo):
+    return (hi - lo) // 2 in allowed_first_witt_indices(hi)
+
+
 def test_criterion_10_formula_suite():
     assert 10 not in dim_In_set(3, 100)
     assert 26 not in dim_In_set(4, 100)
@@ -218,12 +226,18 @@ def test_criterion_10_formula_suite():
     assert vishik_pattern(2, 3) == {0, 4, 6, 8, 10, 12}
     assert small_splitting_pattern(4, 2) == {0, 16, 24, 28}
     assert len(small_splitting_pattern(4, 2)) - 1 == 3
-    for n in range(1, 6):
-        for m in range(1, 6):
-            ok, bad = gap_certificate(vishik_pattern(n, m))
-            assert ok, (n, m, bad)
-    ok, bad = gap_certificate({0, 8, 12})
-    assert not ok and bad == [(8, 12, 9)]
+    # every descending jump hi -> lo drops the Witt index by i1 = (hi - lo)/2, which
+    # Karpenko's bound must allow at hi; n = 1 is left out, as its jump 2 -> 0 is below
+    # dimension 3
+    patterns = [small_splitting_pattern(n, m) for n in range(2, 13) for m in range(1, n + 2)]
+    patterns += [vishik_pattern(n, m) for n in range(2, 9) for m in range(1, 7)]
+    jumps = [jump for pattern in patterns for jump in _descending_jumps(pattern)]
+    assert len(jumps) == 3148
+    assert not [(hi, lo) for hi, lo in jumps if not _karpenko_allows(hi, lo)]
+    assert small_splitting_pattern(3, 2) == {0, 8, 12}
+    assert all(_karpenko_allows(hi, lo) for hi, lo in _descending_jumps({0, 8, 12}))
+    assert allowed_first_witt_indices(12) == {1, 2, 4}
+    assert not _karpenko_allows(12, 6)  # the mutated pattern {0, 6, 12}: i1 = 3 at 12
 
 
 def test_criterion_11_structure_suite():

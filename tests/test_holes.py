@@ -17,11 +17,9 @@ from chowq.holes import (
     build_mu_zero,
     build_xi,
     certificate_json,
-    check_min_splitting,
     dim_In_set,
     first_summand_formula,
     forced_witt_sequence,
-    gap_certificate,
     mu_prime_generators,
     small_splitting_pattern,
     target_cell,
@@ -107,6 +105,12 @@ def test_vishik_pattern_is_the_small_pattern_with_the_even_tail():
     for pattern in (lambda: vishik_pattern(0, 3), lambda: small_splitting_pattern(0, 1)):
         with pytest.raises(ValueError, match="n >= 1"):
             pattern()
+    # no bool, no float, no str
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match="n >= 1"):
+            vishik_pattern(bad, 3)
+        with pytest.raises(ValueError, match="int m"):
+            vishik_pattern(2, bad)
 
 
 def test_forced_witt_sequence():
@@ -428,6 +432,16 @@ def test_patterns():
     assert small_splitting_pattern(4, 5) == {0}
     with pytest.raises(ValueError):
         small_splitting_pattern(4, 6)
+    # no bool, no float, no str
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match="n >= 1"):
+            small_splitting_pattern(bad, 1)
+        with pytest.raises(ValueError, match="1 <= m"):
+            small_splitting_pattern(3, bad)
+        with pytest.raises(ValueError, match="n >= 1"):
+            dim_In_set(bad, 20)
+        with pytest.raises(ValueError, match="int cap"):
+            dim_In_set(3, bad)
 
 
 def test_small_patterns_realized():
@@ -435,22 +449,3 @@ def test_small_patterns_realized():
         realized = dim_In_set(n, 1 << (n + 1)) | {0}
         for m in range(1, n + 2):
             assert small_splitting_pattern(n, m) <= realized
-
-
-def test_gap_certificate():
-    ok, bad = gap_certificate({0, 4, 6, 8, 10, 12})
-    assert ok and bad == []
-    ok, bad = gap_certificate({0, 8, 12})
-    assert not ok and bad == [(8, 12, 9)]
-    for n in range(1, 6):
-        for m in range(1, 6):
-            ok, bad = gap_certificate(vishik_pattern(n, m))
-            assert ok, (n, m, bad)
-
-
-def test_check_min_splitting():
-    for n in range(1, 6):
-        assert check_min_splitting(n, vishik_pattern(n, 3))
-    assert not check_min_splitting(3, vishik_pattern(2, 3))
-    assert not check_min_splitting(1, {0, 3, 6})
-    assert not check_min_splitting(1, {0})
