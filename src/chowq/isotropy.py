@@ -8,18 +8,18 @@ i_j in [0, a] or [D-a+1, D]: positions with i_j = a are projected
 factorwise, positions with i_j < a require the factor l_(i_j), and
 positions with i_j > a require h^(D-i_j); mismatches send a term to 0.
 The direct sum of all projections is an isomorphism: each term has exactly
-one signature with a non-zero image.  pr_all is the home of that routing,
-and pr_multi keeps the terms routed to its own signature.
+one signature with a non-zero image.  _router is the home of that routing,
+for pr_all (and pr_multi) on terms and for coordinate_routes on coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .basis import (
     ArityError,
-    BasisFactor,
     Cycle,
     GeometryError,
     QuadricGeometry,
@@ -82,29 +82,36 @@ def in_single(alpha: Cycle, a: int) -> Cycle:
     return in_multi(alpha, IsotropySignature(a, alpha.geometry.D + 2 * a, (a,)))
 
 
-def _slots(sig: IsotropySignature, tables) -> list[BasisFactor | None]:
-    """Per position: None where the core is projected, else the factor the signature fixes."""
-    return [
-        None if i == sig.a else tables.l[i] if i < sig.a else tables.h[sig.D - i]
-        for i in sig.indices
-    ]
-
-
-def pr_all(alpha: Cycle, a: int) -> dict[tuple[int, ...], Cycle]:
-    """Every non-zero projection of alpha, keyed by signature indices, in one pass.
-
-    A factor of index >= a is projected: index a, shifted down by a.  Below a,
-    l_i takes index i and h^k takes index D - k.  So each term has one key.
-    """
-    D = alpha.geometry.D
+def _router(D: int, a: int):
+    """The inner geometry, and the map from a term to its signature key and its image
+    there.  A factor of index >= a is projected: index a, shifted down by a.  Below a,
+    l_i takes index i and h^k takes index D - k.  So each term has one key."""
     inner = IsotropySignature(a, D, ()).inner_geometry
     down = [None] * (2 * a) + inner.tables.factors  # code -> index shifted down by a
     index = [a if f >= 2 * a else f >> 1 if f & 1 else D - (f >> 1) for f in range(len(down))]
+
+    def route(term: Term) -> tuple[tuple[int, ...], Term]:
+        return tuple(map(index.__getitem__, term)), tuple(down[f] for f in term if f >= 2 * a)
+
+    return inner, route
+
+
+def pr_all(alpha: Cycle, a: int) -> dict[tuple[int, ...], Cycle]:
+    """Every non-zero projection of alpha, keyed by signature indices, in one pass."""
+    inner, route = _router(alpha.geometry.D, a)
     parts: dict[tuple[int, ...], set[Term]] = {}
-    for term in alpha.terms:
-        key = tuple(map(index.__getitem__, term))
-        parts.setdefault(key, set()).add(tuple(down[f] for f in term if f >= 2 * a))
+    for key, image in map(route, alpha.terms):
+        parts.setdefault(key, set()).add(image)
     return {key: Cycle(inner, key.count(a), frozenset(images)) for key, images in parts.items()}
+
+
+@functools.lru_cache(maxsize=1024)
+def coordinate_routes(D: int, a: int, r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per arity-r coordinate k of dimension D, built on the first call: the signature
+    key of term k and the coordinate of its image in the inner geometry's maps[s]."""
+    inner, route = _router(D, a)
+    pairs, maps = map(route, QuadricGeometry(D).tables.maps[r].terms), inner.tables.maps
+    return tuple((key, maps[len(image)].index[image]) for key, image in pairs)
 
 
 def pr_multi(alpha: Cycle, sig: IsotropySignature) -> Cycle:
@@ -123,8 +130,9 @@ def in_multi(beta: Cycle, sig: IsotropySignature) -> Cycle:
     if beta.arity != sig.s:
         raise ArityError(f"signature expects inner arity {sig.s}, got {beta.arity}")
     outer = QuadricGeometry(sig.D)
-    up = outer.tables.factors[2 * sig.a :]
-    slots = _slots(sig, outer.tables)
+    up, H, L = outer.tables.factors[2 * sig.a :], outer.tables.h, outer.tables.l
+    # per position: None where the core is projected, else the factor the signature fixes
+    slots = [None if i == sig.a else L[i] if i < sig.a else H[sig.D - i] for i in sig.indices]
     acc: set[Term] = set()
     for term in beta.terms:
         inner = iter(term)

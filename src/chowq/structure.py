@@ -44,7 +44,7 @@ from .basis import (
 )
 from .correspondence import derivative, diagonal_class
 from .gf2 import Gf2Subspace
-from .isotropy import pr_all
+from .isotropy import coordinate_routes
 from .ring import essential_part, sym, transpose
 
 # ---------------------------------------------------------------------------
@@ -59,8 +59,8 @@ def encode_cycle(c: Cycle) -> int:
     return v
 
 
-def _terms_of(terms: list[Term], v: int) -> list[Term]:
-    """The terms whose bits are set in v, given the terms of its arity in coordinate order."""
+def _terms_of(terms, v: int) -> list:
+    """The entries at the set bits of v, given a sequence by coordinate (its arity's terms, say)."""
     acc = []
     while v:
         low = v & -v
@@ -235,33 +235,35 @@ def closure(family: RationalFamily) -> RationalFamily:
 
     Products are taken with generators only.  The input components, the
     diagonal, the slot generators h^0 x .. x h^1 x .. x h^0 and every
-    push-forward image are generators; transposition images and products are
-    not; a Steenrod component or a pull-back h^0 x c keeps the flag of the
-    vector it came from.  After its images, a vector taken from the queue is
-    multiplied by the r unqueued slot generators (CoordinateMaps.slot_shifts);
-    a generator then by itself and every earlier vector of its arity, any
-    other vector by the earlier generators of its arity, skipping the pairs of
-    dimensions adding up to less than r*D (such a product vanishes).  A
-    product forms only the term pairs that the per-slot masks of each queued
-    vector (built on first use) show to be non-zero.  Each (arity, dimension)
-    grows its own echelon: rows of two dimensions share no bit.
+    push-forward image are generators; transposition images, Steenrod
+    components and products are not; a pull-back h^0 x c keeps the flag of c.
+    After its images, a vector taken from the queue is multiplied by the r
+    unqueued slot generators (CoordinateMaps.slot_shifts); a generator then by
+    itself and every earlier vector of its arity, any other vector by the
+    earlier generators of its arity, skipping the pairs of dimensions adding
+    up to less than r*D (such a product vanishes).  A product forms only the
+    term pairs that the per-slot masks of each queued vector (built on first
+    use) show to be non-zero.  Each (arity, dimension) grows its own echelon:
+    rows of two dimensions share no bit.
 
     Why the span A is still closed under products.  Let C = {a in A : A*a is
-    in A}, a subspace.  Every generator is in C: its product with each queued
-    vector is taken when the later of the two leaves the queue.  C is closed
-    under products ((ab)x = a(bx)), so it holds every h-monomial, a product
-    of slot generators, and under the transpositions s, which are ring maps
-    with s(A) = A.  Each S^k and the pull-back are compatible with products:
-    the pull-back and the transpositions are ring maps, and S^k obeys the
-    Cartan formula.  A vector z that is not a generator is T(s(u)) or T(u*w),
-    with u and w queued and T a chain of S^k and pull-backs, so z = s'(T(u))
-    or a sum of products T'(u)*T''(w), with s' a transposition.  The queue is
-    first in, first out (deque.popleft), so each step of such a chain applied
-    to u (or w) was fed before the vector it stands beside in z's chain left
-    the queue: T(u) lies in the span of the h-monomials and of vectors queued
-    before z.  By induction on the order of entry those are in C, hence so is
-    z, and A*A is in A.  The argument needs the first-in, first-out order and
-    says nothing of a queue taken in another order.
+    in A}, a subspace, graded as A is.  Every generator is in C: its product
+    with each queued vector is taken when the later of the two leaves the
+    queue.  C is closed under products ((ab)x = a(bx)), so it holds every
+    h-monomial, a product of slot generators; under the transpositions s,
+    ring maps with s(A) = A; and under each S^k, a graded piece of the total
+    operation S: S is a ring automorphism and S - 1 raises codimension, so
+    S^-1 is a sum of powers of S, A is closed under it and S(a)*x = S(a*S^-1(x)).
+    A vector z that is not a generator is P(y), P a chain of pull-backs (ring
+    maps that commute with S^k, as S^k(h^0) = 0 for k > 0), y = s(u), S^k(u)
+    or u*w, u queued and w queued or a slot generator: z = s'(P(u)), S^k(P(u))
+    or P(u)*P(w), with s' a transposition.  The queue is first in, first out
+    (deque.popleft), so each step of P applied to u (or w) was fed before the
+    vector it stands beside in z's chain left the queue: P(u) lies in the span
+    of the h-monomials and of vectors queued before z.  By induction on the
+    order of entry those are in C, hence so is z, and A*A is in A.  The
+    argument needs the first-in, first-out order and says nothing of a queue
+    taken in another order.
     """
     geometry, top = family.geometry, family.max_arity
     tables = geometry.tables
@@ -291,7 +293,7 @@ def closure(family: RationalFamily) -> RationalFamily:
             feed(r, sum([1 << index[t] for t in map(swap, mine.terms)]), False)
         image = apply_table(maps.steenrod, v)
         for m in maps.dim_masks[: mine.dimension + 1]:  # S only lowers the dimension
-            feed(r, image & m, generator)
+            feed(r, image & m, False)
         if r < top:
             feed(r + 1, v, generator)  # h^0 x c has the coordinates of c
         if r >= 2:
@@ -693,17 +695,19 @@ def check_all(
 
     if inner_family is not None:
         inner = inner_family if inner_family.closed else closure(inner_family)
-        a = split.witt_indices[0]
-        # Each term of a member has one signature, so pr_all visits a member once;
-        # sorting restores the signature-major order of the witnesses.
-        hits = sorted(
-            (r, key, m)
-            for r in range(1, fam.max_arity + 1)
-            for m, member in enumerate(fam.members(r))
-            for key, image in pr_all(member, a).items()
-            if 1 <= image.arity <= inner.max_arity and not inner.contains(image)
-        )
-        bad = [(key, r) for r, key, _ in hits]
+        a, hits = split.witt_indices[0], []
+        # Each coordinate has one signature key and one coordinate of its image there, so
+        # a row's projections are XORs per key; sorting restores the signature-major order.
+        for r in range(1, fam.max_arity + 1):
+            routes = coordinate_routes(fam.geometry.D, a, r)
+            for m, v in enumerate(fam.groups[r].rows()):
+                images: dict[tuple[int, ...], int] = {}
+                for key, k in _terms_of(routes, v):
+                    images[key] = images.get(key, 0) ^ 1 << k
+                for key, w in images.items():
+                    if 1 <= (s := key.count(a)) <= inner.max_arity and w not in inner.groups[s]:
+                        hits.append((r, key, m))
+        bad = [(key, r) for r, key, _ in sorted(hits)]
         report["supplement"] = CheckResult("supplement", not bad, tuple(bad))
     return report
 

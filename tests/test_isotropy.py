@@ -6,6 +6,7 @@ import pytest
 
 from chowq.basis import (
     ArityError,
+    Cycle,
     GeometryError,
     QuadricGeometry,
     cycle,
@@ -18,6 +19,7 @@ from chowq.gf2 import Gf2Subspace
 from chowq.isotropy import (
     IsotropySignature,
     all_signatures,
+    coordinate_routes,
     descend,
     generic_point_pullback,
     in_multi,
@@ -232,6 +234,22 @@ def test_pr_all_keeps_s_zero_keys():
     g = QuadricGeometry(8)
     got = pr_all(single(g, l(1), h(0)), 2)
     assert got == {(1, 8): cycle(QuadricGeometry(4), 0, [()])}
+
+
+def test_coordinate_routes_match_pr_all_on_every_term():
+    """D <= 10, every a with 2a <= D, arity <= 3: the table's key and inner coordinate
+    name the one component pr_all gives the term."""
+    for D in range(2, 11):
+        g = QuadricGeometry(D)
+        for a in range(1, g.d + 1):
+            inner = QuadricGeometry(D - 2 * a)
+            for r in (1, 2, 3):
+                terms, routes = g.tables.maps[r].terms, coordinate_routes(D, a, r)
+                assert len(routes) == len(terms)
+                for t, (key, k) in zip(terms, routes):
+                    s = key.count(a)
+                    image = Cycle(inner, s, frozenset({inner.tables.maps[s].terms[k]}))
+                    assert pr_all(single(g, *t), a) == {key: image}
 
 
 def test_pr_all_and_pr_multi_guards():

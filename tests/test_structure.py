@@ -512,19 +512,35 @@ def supplement_oracle(fam, inner):
 
 
 @pytest.mark.parametrize(
-    "D, a, splitting, max_arity, count",
-    [(6, 2, (2, 2), 3, 51), (14, 4, (4, 4), 2, 15), (10, 2, (2, 2, 2), 2, 7)],
+    "D, a, splitting, max_arity, inner_arity, count",
+    [
+        (6, 2, (2, 2), 3, 2, 51),
+        (14, 4, (4, 4), 2, 2, 15),
+        (10, 2, (2, 2, 2), 2, 2, 7),
+        (6, 2, (2, 2), 3, 1, 0),  # drops the keys with s = 2, where the 51 above lie
+        (10, 2, (2, 2, 2), 3, 2, 143),
+    ],
+    ids=[
+        "6-2-splitting0-3-51",
+        "14-4-splitting1-2-15",
+        "10-2-splitting2-2-7",
+        "6-2-splitting3-3-inner1-0",
+        "10-2-splitting4-3-143",
+    ],
 )
-def test_supplement_witnesses_match_the_loop_over_signatures(D, a, splitting, max_arity, count):
+def test_supplement_witnesses_match_the_loop_over_signatures(
+    D, a, splitting, max_arity, inner_arity, count
+):
     g, inner_g = QuadricGeometry(D), QuadricGeometry(D - 2 * a)
     fam = closure(
         family_from_generators(g, max_arity, [known_generator(g, a)], SplittingData(splitting))
     )
-    for gens in ([], [known_generator(inner_g, 1)]):
-        inner = closure(family_from_generators(inner_g, 2, gens))
+    gens = [known_generator(inner_g, 1)] if inner_arity >= 2 else [single(inner_g, l(inner_g.d))]
+    for inner_gens in ([], gens):
+        inner = closure(family_from_generators(inner_g, inner_arity, inner_gens))
         report = check_all(fam, inner)["supplement"]
         assert report.witnesses == supplement_oracle(fam, inner)
-        assert not report.passed and len(report.witnesses) == count
+        assert report.passed == (count == 0) and len(report.witnesses) == count
 
 
 def test_supplement_needs_splitting_data():
