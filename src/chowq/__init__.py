@@ -41,7 +41,6 @@ from .correspondence import (
 from .gf2 import Gf2Subspace
 from .holes import (
     HoleParams,
-    build_chi,
     build_mu_zero,
     build_xi,
     dim_In_set,

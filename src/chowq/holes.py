@@ -12,12 +12,13 @@ computes
 and verifies that the cell h^a x l_(b-a-1) survives in every case.
 Its survival contradicts the small-quadric structure theorem, which is
 what rules out the corresponding dimension value.  Both methods read one
-table of target bits, built once per certificate with J+1 calls of
-steenrod_k and no composite.  Brute force evaluates that table's quadratic
-form on all 2^(3J) cases at once, one bit per case.  With the tables warm, a
-certificate takes 0.0007 / 0.0045 / 0.09 s brute at (4,3,1) / (7,3,1) / (5,4,1)
-and 0.07 / 0.24-0.33 s bilinear at (9,8,1) / (10,9,1); the first at (11,3,1),
-D = 4 088, takes 0.18-0.26 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
+table of target bits, built once per certificate from the squares of the
+terms of the parts, with no Cycle and no composite.  Brute force evaluates
+that table's quadratic form on all 2^(3J) cases at once, one bit per case.
+With the tables warm, a certificate takes 0.0005-0.001 / 0.003-0.006 / 0.065 s
+brute at (4,3,1) / (7,3,1) / (5,4,1) and 0.003 / 0.04-0.06 / 0.21-0.23 s bilinear
+at (7,6,1) / (9,8,1) / (10,9,1); the first at (11,3,1), D = 4 088, takes
+0.12-0.23 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .basis import (
     Cycle,
     QuadricGeometry,
     Term,
+    cycle,
     h,
     l,
     render_cycle,
@@ -41,7 +43,7 @@ from .basis import (
 )
 from .correspondence import compose, delta_pullback_q
 from .ring import external_product, mul, sym, transpose
-from .steenrod import steenrod_k
+from .steenrod import _compositions
 from .structure import SplittingData, _staircase
 
 BRUTE_THRESHOLD = 1 << 20
@@ -120,13 +122,6 @@ def build_mu_zero(params: HoleParams) -> Cycle:
     return _staircase(params.geometry, params.a, params.b, (h(0),))
 
 
-def build_chi(params: HoleParams, j: int) -> Cycle:
-    """The j-th admissible defect generator carrying h^a on the first slot."""
-    if not 1 <= j <= params.j_count:
-        raise ValueError(f"j must be in 1..{params.j_count}, got {j}")
-    return mu_prime_generators(params)[3 * j - 3]
-
-
 def mu_prime_generators(params: HoleParams) -> list[Cycle]:
     """The 3J admissible defect summands: chi_j per slot, slots 2 and 3 transposed."""
     g = params.geometry
@@ -171,25 +166,20 @@ def first_summand_formula(params: HoleParams) -> Cycle:
 
 
 def _inner_parts(params: HoleParams, parts: list[Cycle]) -> list[Cycle]:
-    """S_2a(x) * (h^0 x h^0 x h^(b-1)) for each part x.
+    """S_2a(x) * (h^0 x h^0 x h^(b-1)) for each part x, from the squares of its terms.
 
     Both maps are linear over GF(2), so for mu a sum of parts the inner
-    factor of xi is the sum of the matching inner parts.  S_2a commutes with
-    swapping slots, so a part equal to an earlier one with slot 0 swapped for
-    slot 1 or 2 takes that one's square, swapped alike.
+    factor of xi is the sum of the matching inner parts.  Each square
+    S^(k0)(t0) x S^(k1)(t1) x S^(k2)(t2), k0 + k1 + k2 = 2a, of a term t of x
+    gives the term with h^(b-1) times its last factor.  A part with terms of
+    two dimensions raises ValueError: S_2a is graded.
     """
-    k = 2 * params.a
-    weight = single(params.geometry, h(0), h(0), h(params.b - 1))
-    swapped: dict[frozenset[Term], Cycle] = {}  # terms of a swapped part -> its S_2a, until used
-    out = []
-    for x in parts:
-        square = swapped.pop(x.terms, None)
-        if square is None:
-            square = steenrod_k(x, k)
-            for slot in (1, 2):
-                swapped[transpose(x, 0, slot).terms] = transpose(square, 0, slot)
-        out.append(mul(square, weight))
-    return out
+    times = params.geometry.tables.prod[h(params.b - 1)]
+    squares = [_compositions(x, 2 * params.a, exact=True) for x in parts]
+    return [
+        cycle(params.geometry, 3, [(s0, s1, times[s2]) for s0, s1, s2 in sq if times[s2] is not None])
+        for sq in squares
+    ]
 
 
 def _target_rows(params: HoleParams, parts: list[Cycle]) -> list[int]:
@@ -198,25 +188,29 @@ def _target_rows(params: HoleParams, parts: list[Cycle]) -> list[int]:
 
     compose is bilinear and delta_q^* linear, so when mu is the sum of the
     parts in T, the target coefficient of xi is the sum of the bits (x, y)
-    over x, y in T: a quadratic form in the selection.  The term pair
-    (s of inner_y, t of x) adds s0 t1 x s1 t2 to that image when s2 t0 = l_0,
-    so bit y is the parity of the terms of inner_y in V_x, the XOR over t in x
-    of the s with s0 t1 = T1, s1 t2 = T2 and s2 t0 = l_0: no composite is built.
+    over x, y in T: a quadratic form in the selection.  A term s of
+    S_2a(parts[y]) gives inner_y the term s0 x s1 x s2 h^(b-1), and the pair
+    (s, t of x) adds s0 t1 x s1 t2 to that image when s2 (h^(b-1) t0) = l_0.
+    So bit y is the parity of the pairs with s0 t1 = T1, s1 t2 = T2 and that
+    product l_0.  Each step is linear, so each square s of a term of parts[y]
+    XORs bit y into holders[s], and row x XORs holders[s] over the s matched
+    by each t, repeats cancelling: no Cycle and no composite is built.  A part
+    with terms of two dimensions raises ValueError, as in _inner_parts.
     """
     tables = params.geometry.tables
     over1, over2 = map(tables.quotients.__getitem__, target_cell(params))
-    partners = tables.quotients[l(0)]
-    holders: dict[Term, int] = {}  # s -> mask of the y with s in inner_y; row x XORs them over V_x
-    for y, inner in enumerate(_inner_parts(params, parts)):
-        for s in inner.terms:
+    over_l0, times = tables.quotients[l(0)], tables.prod[h(params.b - 1)]
+    partners = [() if g is None else over_l0[g] for g in times]  # s2 (h^(b-1) t0) = l_0
+    holders: dict[Term, int] = {}  # s -> mask of the y with s a square of a term of parts[y]
+    for y, x in enumerate(parts):
+        for s in _compositions(x, 2 * params.a, exact=True):
             holders[s] = holders.get(s, 0) ^ 1 << y
-    rows = []
-    for x in parts:
-        v: set[Term] = set()
-        for t0, t1, t2 in x.terms:
-            v.symmetric_difference_update(product(over1[t1], over2[t2], partners[t0]))
-        rows.append(reduce(xor, map(holders.__getitem__, v & holders.keys()), 0))
-    return rows
+    get = holders.get
+    return [
+        reduce(xor, [get(s, 0) for t0, t1, t2 in x.terms
+                     for s in product(over1[t1], over2[t2], partners[t0])], 0)
+        for x in parts
+    ]
 
 
 def _brute(rows: list[int]) -> list[int]:
@@ -344,7 +338,6 @@ __all__ = [
     "BRUTE_LIMIT",
     "BRUTE_THRESHOLD",
     "HoleParams",
-    "build_chi",
     "build_mu_zero",
     "build_xi",
     "certificate_json",

@@ -28,23 +28,23 @@ def steenrod_total(alpha: Cycle) -> Cycle:
 
 
 def _compositions(alpha: Cycle, k: int, exact: bool) -> list[Term]:
-    """Each nonzero S^(k_1)(f_1) x ... x S^(k_r)(f_r) of a term, sum k_i = k if exact, else <= k."""
+    """Each nonzero S^(k_1)(f_1) x ... x S^(k_r)(f_r) of each term, repeats kept, with
+    sum k_i = k if exact, else <= k: the one walk behind steenrod_k, steenrod_upto and
+    the certifier's table, which takes the list without building a Cycle."""
     if not alpha.is_homogeneous:
         raise ValueError("graded Steenrod operation needs a homogeneous input")
-    rows = alpha.geometry.tables.squares
-    out = []
-    for term in alpha.terms:
-        walk = [((), k)] if k >= 0 else []  # (prefix, order left); a slot spends j of it
-        for i, f in enumerate(term):
-            row, last = rows[f], exact and i == len(term) - 1  # an exact last slot spends all
-            walk = [
-                (prefix + (row[j],), left - j)
-                for prefix, left in walk
-                for j in range(left if last else 0, min(left + 1, len(row)))
-                if row[j] is not None
-            ]
-        out += [prefix for prefix, left in walk if not (exact and left)]
-    return out
+    rows, r = alpha.geometry.tables.squares, alpha.arity
+    walk = [(t, (), k) for t in alpha.terms] if k >= 0 else []  # (term, prefix, order left)
+    for i in range(r - 1 if exact and r else r):  # slot i spends j of the order
+        walk = [
+            (t, prefix + (g,), left - j)
+            for t, prefix, left in walk
+            for j, g in enumerate(rows[t[i]][: left + 1])
+            if g is not None
+        ]
+    if exact and r:  # the last slot spends all that is left: one lookup
+        return [p + (g,) for t, p, left in walk for g in rows[t[-1]][left : left + 1] if g is not None]
+    return [prefix for t, prefix, left in walk if not (exact and left)]
 
 
 def steenrod_k(alpha: Cycle, k: int) -> Cycle:

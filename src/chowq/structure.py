@@ -137,9 +137,6 @@ class RationalFamily:
             return False
         return encode_cycle(c) in self.groups[c.arity]
 
-    def members(self, r: int) -> list[Cycle]:
-        return [decode_cycle(self.geometry, r, v) for v in self.groups[r].rows()]
-
     def copy(self) -> "RationalFamily":
         return RationalFamily(
             self.geometry,

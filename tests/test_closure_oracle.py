@@ -28,6 +28,7 @@ from chowq.structure import (
     RationalFamily,
     SplittingData,
     closure,
+    decode_cycle,
     encode_cycle,
     family_from_generators,
     known_generator,
@@ -50,7 +51,7 @@ def round_closure(family: RationalFamily) -> RationalFamily:
     while changed:
         changed = False
         for r in range(1, fam.max_arity + 1):
-            members = fam.members(r)
+            members = [decode_cycle(fam.geometry, r, v) for v in fam.groups[r].rows()]
             for c in members:
                 for piece in homogeneous_components(c).values():
                     changed |= feed(piece)

@@ -9,11 +9,10 @@ from pathlib import Path
 import pytest
 
 from chowq.basis import enumerate_basis, h, l, single
-from chowq import holes
+from chowq import basis, holes, ring, steenrod
 from chowq.correspondence import compose, delta_pullback_q
 from chowq.holes import (
     HoleParams,
-    build_chi,
     build_mu_zero,
     build_xi,
     certificate_json,
@@ -155,19 +154,15 @@ def test_mu_zero_h_indices_divisible():
 
 def test_chi_shape():
     p = HoleParams(4, 3, 1)
-    chi1 = build_chi(p, 1)
+    gens = mu_prime_generators(p)
     g = p.geometry
-    assert chi1 == single(g, h(1), h(5), l(9)) + single(g, h(1), l(12), h(8))
+    assert gens[0] == single(g, h(1), h(5), l(9)) + single(g, h(1), l(12), h(8))
     for j in range(1, p.j_count + 1):
-        for t in build_chi(p, j).terms:
+        for t in gens[3 * j - 3].terms:  # chi_j, h^a on the first slot
             assert t[0] == h(p.a)
             for f in t:
                 if f.kind == "h":
                     assert f.index % p.a == 0
-    with pytest.raises(ValueError):
-        build_chi(p, 0)
-    with pytest.raises(ValueError):
-        build_chi(p, p.j_count + 1)
 
 
 def test_generator_count():
@@ -330,7 +325,7 @@ def _oracle_inner_parts(p, parts):
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("nmp", J4_PARAMS + [(7, 6, 1)])
 def test_inner_parts_of_mutated_sets_match_total_square_oracle(nmp, mutation, monkeypatch):
-    """A square is reused for a part equal to a transpose of an earlier one, not by position."""
+    """Each part, mutated or not, gets the square of its own terms."""
     monkeypatch.setattr(holes, *MUTATIONS[mutation])
     p = HoleParams(*nmp)
     parts = [holes.build_mu_zero(p)] + holes.mu_prime_generators(p)
@@ -357,6 +352,36 @@ def test_inner_parts_match_total_square_oracle(nmp):
     p = HoleParams(*nmp)
     parts = [build_mu_zero(p)] + mu_prime_generators(p)
     assert holes._inner_parts(p, parts) == _oracle_inner_parts(p, parts)
+
+
+def test_table_refuses_parts_of_two_dimensions():
+    """S_2a is graded: a part with terms of two dimensions has no square, with or without -O."""
+    p = HoleParams(4, 3, 1)
+    mu0 = build_mu_zero(p)
+    mixed = mu0 + single(p.geometry, h(0), h(0), h(0))
+    for parts in ([mixed], [mu0, mixed]):
+        with pytest.raises(ValueError, match="homogeneous"):
+            holes._target_rows(p, parts)
+        with pytest.raises(ValueError, match="homogeneous"):
+            holes._inner_parts(p, parts)
+
+
+@pytest.mark.parametrize("nmp", [(7, 6, 1), (7, 3, 1)])
+def test_table_builds_no_cycle(nmp, monkeypatch):
+    """The table reads the squares of the terms: no Cycle, graded square, product or swap."""
+    p = HoleParams(*nmp)
+    parts = [build_mu_zero(p)] + mu_prime_generators(p)
+    want = holes._target_rows(p, parts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table of target bits built a cycle")
+
+    for module, name in [(holes, "mul"), (holes, "transpose"), (holes, "cycle"), (ring, "mul"),
+                         (ring, "transpose"), (ring, "permute"), (steenrod, "steenrod_k"),
+                         (basis, "cycle")]:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(basis.Cycle, "__post_init__", refuse)
+    assert holes._target_rows(p, parts) == want and want[0] & 1
 
 
 def test_verify_bilinear_at_D_1016():

@@ -21,6 +21,7 @@ from chowq.structure import (
     check_forbidden,
     check_pairs,
     closure,
+    decode_cycle,
     family_from_generators,
 )
 from test_closure_oracle import random_family, staircase
@@ -30,7 +31,8 @@ from test_golden import families as golden_families
 def assert_rows_homogeneous(fam):
     closed = closure(fam)
     for r in closed.groups:
-        for member in closed.members(r):
+        for v in closed.groups[r].rows():
+            member = decode_cycle(closed.geometry, r, v)
             assert member.is_homogeneous, (r, render_cycle(member))
 
 

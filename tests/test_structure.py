@@ -476,7 +476,7 @@ def test_check_all_supplement():
         for sig in all_signatures(fam.geometry, a, r):
             if not 1 <= sig.s <= 2:
                 continue
-            for member in fam.members(r):
+            for member in [decode_cycle(fam.geometry, r, v) for v in fam.groups[r].rows()]:
                 img = pr_multi(member, sig)
                 if not img.is_zero:
                     images.append(img)
@@ -500,7 +500,7 @@ def supplement_oracle(fam, inner):
     a = fam.splitting.witt_indices[0]
     bad = []
     for r in range(1, fam.max_arity + 1):
-        members = fam.members(r)
+        members = [decode_cycle(fam.geometry, r, v) for v in fam.groups[r].rows()]
         for sig in all_signatures(fam.geometry, a, r):
             if not 1 <= sig.s <= inner.max_arity:
                 continue
