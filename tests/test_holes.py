@@ -260,7 +260,7 @@ def test_verify_brute_at_J8_agrees_with_bilinear():
     bilinear = verify_contradiction(p, method="bilinear")
     assert brute["cases"] == bilinear["cases"] == 1 << 24
     assert brute["failures"] == [] and brute["passed"]
-    assert bilinear["failures"] == [] and bilinear["passed"]
+    assert bilinear["failures"] == [] and bilinear["passed"] and bilinear["blocks"] == {"0,0": 1}
 
 
 J4_PARAMS = [
@@ -294,7 +294,7 @@ def _less_first_term(x):
     return x + single(x.geometry, *x.sorted_terms()[0])
 
 
-MUTATIONS = {  # failures at (0, 4); at (3J, 0) and (0, 4); at (0, 0)
+MUTATIONS = {  # bilinear reports the case {4} (8); {4} (8); the empty case 0
     "chi_2": ("mu_prime_generators", _mutated_generators),
     "every generator": (
         "mu_prime_generators",
@@ -307,14 +307,18 @@ MUTATIONS = {  # failures at (0, 4); at (3J, 0) and (0, 4); at (0, 0)
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("nmp", J4_PARAMS + [(7, 6, 1)])
 def test_bilinear_failures_are_the_blocks_off_the_demand(nmp, mutation, monkeypatch):
-    """The old scan over every cell, rebuilt from the blocks, is the oracle."""
+    """The demand on the blocks is q = 1 on every case.  The one case bilinear reports off it
+    loses the target cell in xi of its own sum of parts, and at J = 4 brute lists it too."""
     monkeypatch.setattr(holes, *MUTATIONS[mutation])
     p = HoleParams(*nmp)
     cert = verify_contradiction(p, method="bilinear")
-    cells = [(ix, iy) for iy in range(3 * p.j_count + 1) for ix in range(3 * p.j_count + 1)]
-    assert list(cert["blocks"]) == [f"{ix},{iy}" for ix, iy in cells]
-    want = [(ix, iy) for ix, iy in cells if cert["blocks"][f"{ix},{iy}"] != (ix == iy == 0)]
-    assert want and cert["failures"] == want and cert["passed"] is False
+    assert cert["passed"] is False and len(cert["failures"]) == 1
+    (case,) = cert["failures"]
+    parts = [holes.build_mu_zero(p)] + holes.mu_prime_generators(p)
+    mu = sum((x for k, x in enumerate(parts[1:]) if case >> k & 1), parts[0])
+    assert target_cell(p) not in build_xi(mu, p)
+    if p.j_count == 4:
+        assert case in verify_contradiction(p, method="brute")["failures"]
 
 
 def _oracle_inner_parts(p, parts):
@@ -387,7 +391,16 @@ def test_table_builds_no_cycle(nmp, monkeypatch):
 def test_verify_bilinear_at_D_1016():
     cert = verify_contradiction(HoleParams(9, 3, 1), method="bilinear")
     assert cert["params"]["n"] == 9 and cert["passed"]
-    assert cert["failures"] == [] and cert["blocks"]["0,0"] == 1
+    assert cert["failures"] == [] and cert["blocks"] == {"0,0": 1}
+
+
+def test_every_certificate_up_to_n9_passes_on_B00_alone():
+    """The real tables set only B00: bilinear reports no case and one set cell."""
+    for t in [(n, m, p) for n in range(4, 10) for m in range(3, n) for p in range(1, m - 1)]:
+        default = verify_contradiction(HoleParams(*t))
+        cert = verify_contradiction(HoleParams(*t), method="bilinear")
+        assert default["passed"] is True and default["failures"] == [], t
+        assert cert["passed"] is True and cert["failures"] == [] and cert["blocks"] == {"0,0": 1}, t
 
 
 @pytest.mark.parametrize("method", ["brute", "bilinear"])

@@ -5,19 +5,21 @@ kernel used before it was table-driven; those rules live only here now.  The
 table of target bits is checked against its definition by compose and
 delta_q^*, one composite per block.  The brute certifier's evaluation of
 the defect selections (the quadratic form of that table, one bit per case)
-is checked case by case against the public build_xi.
+is checked case by case against the public build_xi, and the exact rule
+of the bilinear certifier against brute on real and random tables.
 """
 
 import random
 
 import pytest
 
-from chowq import basis
+from chowq import basis, holes
 from chowq.basis import FactorTables, GeometryError, QuadricGeometry, _Images, h, l, single
 from chowq.correspondence import compose, delta_pullback_q
 from chowq.holes import (
     HoleParams,
     _brute,
+    _exact,
     _inner_parts,
     _target_rows,
     build_mu_zero,
@@ -207,6 +209,13 @@ def test_mutated_generators_fail_on_the_cases_build_xi_finds():
     assert direct
 
 
+def _agree(rows):
+    """_exact passes exactly when _brute lists no failure, and reports one of brute's."""
+    failures, found = _brute(rows), _exact(rows)
+    assert (found == []) == (failures == []) and len(found) <= 1, rows
+    assert set(found) <= set(failures), rows
+
+
 @pytest.mark.parametrize("size", range(1, 11))
 def test_brute_evaluates_the_quadratic_form_of_any_table(size):
     """Random rows exercise the off-diagonal bits that the real blocks leave at 0.
@@ -221,6 +230,46 @@ def test_brute_evaluates_the_quadratic_form_of_any_table(size):
         if not want & 1:
             failures.append(case)
     assert _brute(rows) == failures
+    _agree(rows)
+
+
+def test_exact_agrees_with_brute_on_sparse_tables():
+    """2 to 13 rows: B00 and a few pairs of cells that cancel in q (Bxy and Byx, B0x and
+    Bx0, B0x and Bxx, for x, y >= 1), then 0 to 2 random bits flipped."""
+    rng = random.Random(2004)
+    passed, sizes = 0, set()
+    for _ in range(1000):
+        size = rng.randint(2, 13)
+        cells = [(0, 0)]
+        for _ in range(rng.randint(0, size)):
+            x, y = rng.randrange(1, size), rng.randrange(size)
+            cells += [(x, y), (y, x)] if y else [(0, x), rng.choice([(x, 0), (x, x)])]
+        cells += [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.choice([0, 0, 1, 2]))]
+        rows = [0] * size
+        for x, y in cells:
+            rows[x] ^= 1 << y
+        _agree(rows)
+        found = _exact(rows)
+        passed += found == []
+        sizes.update([case.bit_count() for case in found] or [None])
+    assert 300 < passed < 700 and sizes == {None, 0, 1, 2}  # cases 0, {x} and {x, y} are seen
+
+
+def test_a_symmetric_off_diagonal_pair_passes(monkeypatch):
+    """B12 = B21 = 1 cancels in q: both rules and the certificate pass."""
+    params = HoleParams(4, 3, 1)
+    rows = [1, 1 << 2, 1 << 1] + [0] * (3 * params.j_count - 2)
+    assert _brute(rows) == _exact(rows) == []
+    monkeypatch.setattr(holes, "_target_rows", lambda params, parts: rows)
+    cert = verify_contradiction(params, method="bilinear")
+    assert cert["passed"] is True and cert["failures"] == []
+    assert cert["blocks"] == {"0,0": 1, "1,2": 1, "2,1": 1}
+
+
+def test_a_linear_term_is_reported_before_its_pair():
+    """B22 leaves s_2 and B12 leaves s_1 s_2 in q - 1: q is 0 on {2} alone, 1 on {1, 2}."""
+    rows = [1, 1 << 2, 1 << 2]
+    assert _brute(rows) == _exact(rows) == [0b10]
 
 
 # ---------------------------------------------------------------------------
