@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--method", choices=["brute", "bilinear"], default=None)
+    p.add_argument("--method", choices=["brute", "bilinear"], default="bilinear")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("pattern", help="print a splitting-pattern formula")

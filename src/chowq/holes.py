@@ -13,10 +13,11 @@ and verifies that the cell h^a x l_(b-a-1) survives in every case.
 Its survival contradicts the small-quadric structure theorem, which is
 what rules out the corresponding dimension value.  Both methods read one
 table of target bits, built once per certificate from the squares of the
-terms of the parts, with no Cycle and no composite.  Brute force evaluates
-that table's quadratic form on all 2^(3J) cases at once, one bit per case;
-bilinear reads the form's coefficients off the table, an exact test as well.
-With the tables warm, a certificate takes 0.0005-0.001 / 0.003-0.006 / 0.065 s
+terms of the parts, with no Cycle and no composite.  The default, bilinear,
+reads that table's quadratic form off its coefficients, an exact test at
+every size; brute force, its oracle, evaluates the form on all 2^(3J) cases
+at once into one failure mask, one bit per case.
+With the tables warm, a certificate takes 0.0005-0.001 / 0.003-0.006 / 0.047 s
 brute at (4,3,1) / (7,3,1) / (5,4,1) and 0.002 / 0.008-0.009 / 0.017-0.019 s bilinear
 at (7,6,1) / (9,8,1) / (10,9,1); the first at (11,3,1), D = 4 088, takes
 0.12-0.23 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
@@ -25,7 +26,6 @@ at (7,6,1) / (9,8,1) / (10,9,1); the first at (11,3,1), D = 4 088, takes
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -45,9 +45,8 @@ from .basis import (
 from .correspondence import compose, delta_pullback_q
 from .ring import external_product, mul, sym, transpose
 from .steenrod import _compositions
-from .structure import SplittingData, _staircase
+from .structure import SplittingData, _staircase, _terms_of
 
-BRUTE_THRESHOLD = 1 << 20
 BRUTE_LIMIT = 1 << 24  # J = 8: 25 planes of 2 MB
 
 
@@ -214,8 +213,9 @@ def _target_rows(params: HoleParams, parts: list[Cycle]) -> list[int]:
     ]
 
 
-def _brute(rows: list[int]) -> list[int]:
-    """The cases, out of all 2^(len(rows)-1), where the target cell vanishes.
+def _brute(rows: list[int]) -> int:
+    """The failure mask over all 2^(len(rows)-1) cases: bit i is 1 when the
+    target cell vanishes in case i.
 
     Bit k-1 of a case selects parts[k]; parts[0] is always in T.  Bit i of
     sel[k] is 1 when case i selects parts[k], so the target bit of xi,
@@ -231,16 +231,13 @@ def _brute(rows: list[int]) -> list[int]:
         sel.append(pattern)
     fails = sel[0]  # a case fails where the form is 0
     for x, row in enumerate(rows):
-        fails ^= sel[x] & reduce(xor, (s for y, s in enumerate(sel) if row >> y & 1), 0)
-    del sel  # frees the planes (2 MB each at J = 8) before the string of marks is built
-    marks = format(fails, f"0{n_cases}b")[::-1]  # marks[i] is bit i
-    return [m.start() for m in re.finditer("1", marks)]
+        fails ^= sel[x] & reduce(xor, _terms_of(sel, row), 0)
+    return fails
 
 
 def _cells(rows: list[int]) -> list[tuple[int, int]]:
-    """(x, y) for each set bit y of rows[x], read off one binary string per row."""
-    return [(x, m.start()) for x, row in enumerate(rows)
-            for m in re.finditer("1", bin(row)[:1:-1])]
+    """(x, y) for each set bit y of rows[x]."""
+    return [(x, y) for x, row in enumerate(rows) for y in _terms_of(range(len(rows)), row)]
 
 
 def _exact(rows: list[int]) -> list[int]:
@@ -257,24 +254,20 @@ def _exact(rows: list[int]) -> list[int]:
     return [] if least is None else [sum(1 << (x - 1) for x in least)]
 
 
-def verify_contradiction(
-    params: HoleParams, method: str | None = None, jobs: int = 1
-) -> dict:
+def verify_contradiction(params: HoleParams, method: str = "bilinear", jobs: int = 1) -> dict:
     """Certify that the target cell survives in xi for every admissible defect part.
 
-    method "brute" evaluates the target coefficient, a quadratic form in the
-    selection, on all 2^(3J) defect selections, at most BRUTE_LIMIT of them,
-    and lists every case where it is 0; "bilinear" tests the form exactly
-    (_exact), lists one such case and keeps the set cells "x,y" of the table
-    in "blocks".  The default picks brute force below BRUTE_THRESHOLD cases.
-    jobs must be 1, as the certifier runs in one process; the parameter goes
-    with the next benchmark change, which stops passing it.
+    The target coefficient of xi is a quadratic form in the selection.  The
+    default method "bilinear" tests that form exactly (_exact), lists at most
+    one case where it is 0 and keeps the set cells "x,y" of the table in
+    "blocks".  "brute", the oracle, evaluates the form on all 2^(3J) defect
+    selections, at most BRUTE_LIMIT of them, and lists the lowest case where
+    it is 0.  jobs must be 1, as the certifier runs in one process; the
+    parameter goes with the next benchmark change, which stops passing it.
     """
     if jobs != 1:
         raise ValueError(f"the certifier runs in one process: jobs must be 1, got {jobs}")
     n_cases = 1 << (3 * params.j_count)
-    if method is None:
-        method = "brute" if n_cases <= BRUTE_THRESHOLD else "bilinear"
     if method not in ("brute", "bilinear"):
         raise ValueError(f"unknown method {method!r}")
     if method == "brute" and n_cases > BRUTE_LIMIT:
@@ -302,8 +295,11 @@ def verify_contradiction(
         "cases": n_cases,
     }
 
-    cert["failures"] = (_brute if method == "brute" else _exact)(rows)
-    if method == "bilinear":
+    if method == "brute":
+        fails = _brute(rows)
+        cert["failures"] = [(fails & -fails).bit_length() - 1] if fails else []
+    else:
+        cert["failures"] = _exact(rows)
         cert["blocks"] = {f"{x},{y}": 1 for x, y in _cells(rows)}
     cert["passed"] = not cert["failures"]
     return cert
@@ -346,7 +342,6 @@ def vishik_pattern(n: int, m: int) -> set[int]:
 
 __all__ = [
     "BRUTE_LIMIT",
-    "BRUTE_THRESHOLD",
     "HoleParams",
     "build_mu_zero",
     "build_xi",

@@ -287,7 +287,54 @@ def test_brute_and_bilinear_agree_on_every_J4_triple(nmp, monkeypatch):
     brute = verify_contradiction(p, method="brute")
     bilinear = verify_contradiction(p, method="bilinear")
     assert brute["passed"] is False and bilinear["passed"] is False
-    assert brute["failures"] == [case for case in range(4096) if case >> 3 & 1]
+    assert brute["failures"] == [8]
+    parts = [holes.build_mu_zero(p)] + holes.mu_prime_generators(p)
+    fails = holes._brute(holes._target_rows(p, parts))
+    assert fails == sum(1 << case for case in range(4096) if case >> 3 & 1)  # every case with {4}
+
+
+MUTATED_541_CHILD = '''
+import json
+from chowq import holes
+from chowq.basis import single
+
+def mutated(params):  # chi_2 on the first slot, less one term
+    gens = mu_prime_generators(params)
+    chi = gens[3]
+    gens[3] = chi + single(params.geometry, *chi.sorted_terms()[0])
+    return gens
+
+mu_prime_generators, holes.mu_prime_generators = holes.mu_prime_generators, mutated
+cert = holes.verify_contradiction(holes.HoleParams(5, 4, 1), method="brute")
+print(json.dumps({"passed": cert["passed"], "failures": cert["failures"]}))
+'''
+
+# ru_maxrss survives exec, so a child of the test process would report at least the test
+# process's own peak.  A small interpreter in between runs the child and reads its peak.
+PEAK_OF_CHILD = '''
+import json, resource, subprocess, sys
+out = subprocess.run([sys.executable, "-c", sys.argv[1]], capture_output=True, text=True, check=True)
+child = json.loads(out.stdout)
+child["peak_kb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps(child))
+'''
+
+
+def test_mutated_forced_brute_at_J8_reports_one_case_in_bounded_memory(monkeypatch):
+    """2^24 cases, half of them failing: brute reports the lowest, case 8, as one int's low bit,
+    in a fresh process under 150 MB; listing every failing case took 394 MB."""
+    env = {**os.environ, "PYTHONPATH": str(Path(holes.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", PEAK_OF_CHILD, MUTATED_541_CHILD], env=env,
+                         capture_output=True, text=True, check=True)
+    child = json.loads(out.stdout)
+    assert child["passed"] is False and child["failures"] == [8]
+    assert child["peak_kb"] < 150 * 1024, child["peak_kb"]
+    monkeypatch.setattr(holes, "mu_prime_generators", _mutated_generators)
+    p = HoleParams(5, 4, 1)
+    assert verify_contradiction(p)["failures"] == [8]
+    parts = [holes.build_mu_zero(p)] + holes.mu_prime_generators(p)
+    assert target_cell(p) not in build_xi(parts[0] + parts[4], p)  # case 8 selects parts[4]
+    assert target_cell(p) in build_xi(parts[0] + parts[3], p)  # case 4 passes
 
 
 def _less_first_term(x):
@@ -308,7 +355,7 @@ MUTATIONS = {  # bilinear reports the case {4} (8); {4} (8); the empty case 0
 @pytest.mark.parametrize("nmp", J4_PARAMS + [(7, 6, 1)])
 def test_bilinear_failures_are_the_blocks_off_the_demand(nmp, mutation, monkeypatch):
     """The demand on the blocks is q = 1 on every case.  The one case bilinear reports off it
-    loses the target cell in xi of its own sum of parts, and at J = 4 brute lists it too."""
+    loses the target cell in xi of its own sum of parts, and at J = 4 it is set in brute's mask."""
     monkeypatch.setattr(holes, *MUTATIONS[mutation])
     p = HoleParams(*nmp)
     cert = verify_contradiction(p, method="bilinear")
@@ -318,7 +365,7 @@ def test_bilinear_failures_are_the_blocks_off_the_demand(nmp, mutation, monkeypa
     mu = sum((x for k, x in enumerate(parts[1:]) if case >> k & 1), parts[0])
     assert target_cell(p) not in build_xi(mu, p)
     if p.j_count == 4:
-        assert case in verify_contradiction(p, method="brute")["failures"]
+        assert holes._brute(holes._target_rows(p, parts)) >> case & 1
 
 
 def _oracle_inner_parts(p, parts):
@@ -395,11 +442,11 @@ def test_verify_bilinear_at_D_1016():
 
 
 def test_every_certificate_up_to_n9_passes_on_B00_alone():
-    """The real tables set only B00: bilinear reports no case and one set cell."""
+    """The real tables set only B00: bilinear, the default, reports no case and one set cell."""
     for t in [(n, m, p) for n in range(4, 10) for m in range(3, n) for p in range(1, m - 1)]:
         default = verify_contradiction(HoleParams(*t))
         cert = verify_contradiction(HoleParams(*t), method="bilinear")
-        assert default["passed"] is True and default["failures"] == [], t
+        assert default == cert, t
         assert cert["passed"] is True and cert["failures"] == [] and cert["blocks"] == {"0,0": 1}, t
 
 
@@ -431,7 +478,7 @@ def test_import_loads_no_process_pool():
 def test_verify_default_method_and_errors():
     p = HoleParams(4, 3, 1)
     cert = verify_contradiction(p)
-    assert cert["method"] == "brute"  # 4096 cases is under the threshold
+    assert cert["method"] == "bilinear" and cert == verify_contradiction(p, method="bilinear")
     with pytest.raises(ValueError):
         verify_contradiction(p, method="magic")
 

@@ -192,9 +192,9 @@ def test_hoisted_xi_matches_build_xi(nmp):
         picked = range(n_cases)
     else:
         picked = rng.sample(range(n_cases), 64) + rng.sample(range(1000, 2500), 64)
-    failures = set(_brute(rows))
+    fails = _brute(rows)
     for case in picked:
-        assert (case not in failures) == (target in build_xi(_mu(parts, case), params)), case
+        assert (not fails >> case & 1) == (target in build_xi(_mu(parts, case), params)), case
 
 
 def test_mutated_generators_fail_on_the_cases_build_xi_finds():
@@ -204,16 +204,16 @@ def test_mutated_generators_fail_on_the_cases_build_xi_finds():
     gens[3] = chi + single(params.geometry, *chi.sorted_terms()[0])
     parts, rows = _parts(params, gens)
     target = target_cell(params)
-    direct = [c for c in range(1 << len(gens)) if target not in build_xi(_mu(parts, c), params)]
+    direct = sum(1 << c for c in range(1 << len(gens)) if target not in build_xi(_mu(parts, c), params))
     assert _brute(rows) == direct
     assert direct
 
 
 def _agree(rows):
-    """_exact passes exactly when _brute lists no failure, and reports one of brute's."""
-    failures, found = _brute(rows), _exact(rows)
-    assert (found == []) == (failures == []) and len(found) <= 1, rows
-    assert set(found) <= set(failures), rows
+    """_exact passes exactly when _brute's mask is 0, and reports one of brute's failures."""
+    fails, found = _brute(rows), _exact(rows)
+    assert (found == []) == (fails == 0) and len(found) <= 1, rows
+    assert all(fails >> case & 1 for case in found), rows
 
 
 @pytest.mark.parametrize("size", range(1, 11))
@@ -223,13 +223,13 @@ def test_brute_evaluates_the_quadratic_form_of_any_table(size):
     1 to 10 parts make planes of 1 to 512 cases."""
     rng = random.Random(2004 + size)
     rows = [rng.getrandbits(size) for _ in range(size)]
-    failures = []
+    fails = 0
     for case in range(1 << (size - 1)):
         chosen = case << 1 | 1
         want = sum((row & chosen).bit_count() for x, row in enumerate(rows) if chosen >> x & 1)
         if not want & 1:
-            failures.append(case)
-    assert _brute(rows) == failures
+            fails |= 1 << case
+    assert _brute(rows) == fails
     _agree(rows)
 
 
@@ -259,7 +259,7 @@ def test_a_symmetric_off_diagonal_pair_passes(monkeypatch):
     """B12 = B21 = 1 cancels in q: both rules and the certificate pass."""
     params = HoleParams(4, 3, 1)
     rows = [1, 1 << 2, 1 << 1] + [0] * (3 * params.j_count - 2)
-    assert _brute(rows) == _exact(rows) == []
+    assert _brute(rows) == 0 and _exact(rows) == []
     monkeypatch.setattr(holes, "_target_rows", lambda params, parts: rows)
     cert = verify_contradiction(params, method="bilinear")
     assert cert["passed"] is True and cert["failures"] == []
@@ -269,7 +269,7 @@ def test_a_symmetric_off_diagonal_pair_passes(monkeypatch):
 def test_a_linear_term_is_reported_before_its_pair():
     """B22 leaves s_2 and B12 leaves s_1 s_2 in q - 1: q is 0 on {2} alone, 1 on {1, 2}."""
     rows = [1, 1 << 2, 1 << 2]
-    assert _brute(rows) == _exact(rows) == [0b10]
+    assert _brute(rows) == 1 << 0b10 and _exact(rows) == [0b10]
 
 
 # ---------------------------------------------------------------------------
