@@ -115,8 +115,9 @@ class FactorTables:
     submasks k of n = i or D - i + 1, the k with C(n, k) odd (Lucas);
     steenrod[f] lists the factors of the total image, the squares of f;
     quotients[t][g] lists the f with f * g = t; maps[r] is the CoordinateMaps
-    of the arity-r terms.  The rows trust their key: the public helpers check
-    a factor against the geometry before they read one.
+    of the arity-r terms; names[f] is the text of f, "h3" or "l5".  The rows
+    trust their key: the public helpers check a factor against the geometry
+    before they read one.
     """
 
     def __init__(self, D: int) -> None:
@@ -134,6 +135,7 @@ class FactorTables:
         self.steenrod = _Images(lambda f: tuple(g for g in self.squares[f] if g is not None))
         self.quotients = _Images(self._quotient_row)
         self.maps = _Images(lambda r: CoordinateMaps(self, r))
+        self.names = _Images(lambda f: f"{'hl'[f & 1]}{f >> 1}")
 
     def _product_row(self, f: BasisFactor) -> list[BasisFactor | None]:
         d, i, H, L = self.d, f >> 1, self.h, self.l
@@ -481,9 +483,8 @@ def render_cycle(c: Cycle) -> str:
     """Canonical text form: terms sorted (h before l, index ascending, lexicographic)."""
     if c.is_zero:
         return "0"
-    return " + ".join(
-        " x ".join(f"{'hl'[f & 1]}{f >> 1}" for f in term) for term in c.sorted_terms()
-    )
+    name = c.geometry.tables.names.__getitem__
+    return " + ".join([" x ".join(map(name, term)) for term in c.sorted_terms()])
 
 
 def cycle_to_json(c: Cycle) -> dict:

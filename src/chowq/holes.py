@@ -9,18 +9,18 @@ computes
 
     xi = delta_q^*( compose(S_2a(mu) * (h^0 x h^0 x h^(b-1)), mu) )
 
-and verifies that the cell h^a x l_(b-a-1) survives in every case.
-Its survival contradicts the small-quadric structure theorem, which is
-what rules out the corresponding dimension value.  Both methods read one
-table of target bits, built once per certificate from the squares of the
-terms of the parts, with no Cycle and no composite.  The default, bilinear,
-reads that table's quadratic form off its coefficients, an exact test at
-every size; brute force, its oracle, evaluates the form on all 2^(3J) cases
-at once into one failure mask, one bit per case.
-With the tables warm, a certificate takes 0.0005-0.001 / 0.003-0.006 / 0.047 s
-brute at (4,3,1) / (7,3,1) / (5,4,1) and 0.002 / 0.008-0.009 / 0.017-0.019 s bilinear
-at (7,6,1) / (9,8,1) / (10,9,1); the first at (11,3,1), D = 4 088, takes
-0.12-0.23 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
+and verifies that the cell h^a x l_(b-a-1) survives in every case.  Its survival
+contradicts the small-quadric structure theorem, which is what rules out the
+corresponding dimension value.  Both methods read one table of target bits,
+built once per certificate from the squares of the terms of the parts, one walk
+per slot orbit, with no Cycle, no composite and, for the generators, no ring op.
+The default, bilinear, reads that table's quadratic form off its coefficients,
+an exact test at every size; brute force, its oracle, evaluates the form on all
+2^(3J) cases at once into one failure mask, one bit per case.
+With the tables warm, a certificate takes 0.0003-0.0005 / 0.002-0.004 / 0.05-0.07 s
+brute at (4,3,1) / (7,3,1) / (5,4,1) and 0.0012-0.0021 / 0.005-0.009 / 0.010-0.018 s
+bilinear at (7,6,1) / (9,8,1) / (10,9,1); the first at (11,3,1), D = 4 088, takes
+0.14-0.18 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import xor
+from operator import itemgetter, xor
 
 from .basis import (
     Cycle,
@@ -43,11 +43,12 @@ from .basis import (
     term_dimension,
 )
 from .correspondence import compose, delta_pullback_q
-from .ring import external_product, mul, sym, transpose
+from .ring import _NONZERO, sym
 from .steenrod import _compositions
 from .structure import SplittingData, _staircase, _terms_of
 
 BRUTE_LIMIT = 1 << 24  # J = 8: 25 planes of 2 MB
+_SLOT_SWAPS = (itemgetter(1, 0, 2), itemgetter(2, 1, 0))  # slots 0 <-> 1 and 0 <-> 2
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,18 @@ def build_mu_zero(params: HoleParams) -> Cycle:
 
 
 def mu_prime_generators(params: HoleParams) -> list[Cycle]:
-    """The 3J admissible defect summands: chi_j per slot, slots 2 and 3 transposed."""
-    g = params.geometry
-    a, b, c = params.a, params.b, params.c
-    inner = _staircase(g, b + a, c)  # one staircase for every chi_j
+    """The 3J admissible defect summands: chi_j per slot, slots 2 and 3 transposed.
+
+    chi_j = h^a x (inner staircase * (h^((j-1)a) x h^(c-b-ja))) is read off the terms of the
+    one inner staircase, with no ring op; its copies reorder each term by _SLOT_SWAPS."""
+    g, a, b, c = params.geometry, params.a, params.b, params.c
+    prod, ha = g.tables.prod, h(a)
+    inner = _staircase(g, b + a, c).terms  # one staircase for every chi_j
     out = []
     for j in range(1, params.j_count + 1):
-        shifted = mul(inner, single(g, h((j - 1) * a), h(c - b - j * a)))
-        chi = external_product(single(g, h(a)), shifted)
-        out += [chi, transpose(chi, 0, 1), transpose(chi, 0, 2)]
+        left, right = prod[h((j - 1) * a)], prod[h(c - b - j * a)]
+        chi = cycle(g, 3, filter(_NONZERO, [(ha, left[t0], right[t1]) for t0, t1 in inner]))
+        out += [chi] + [Cycle(g, 3, frozenset(map(swap, chi.terms))) for swap in _SLOT_SWAPS]
     return out
 
 
@@ -196,14 +200,24 @@ def _target_rows(params: HoleParams, parts: list[Cycle]) -> list[int]:
     XORs bit y into holders[s], and row x XORs holders[s] over the s matched
     by each t, repeats cancelling: no Cycle and no composite is built.  A part
     with terms of two dimensions raises ValueError, as in _inner_parts.
+
+    S_2a commutes with permuting the slots, as a permuted composition of 2a is one, so a part
+    whose terms are an earlier walked part's terms through a swap of _SLOT_SWAPS takes that
+    part's squares through the same swap: one walk per slot orbit, matched on the term sets.
     """
     tables = params.geometry.tables
     over1, over2 = map(tables.quotients.__getitem__, target_cell(params))
     over_l0, times = tables.quotients[l(0)], tables.prod[h(params.b - 1)]
     partners = [() if g is None else over_l0[g] for g in times]  # s2 (h^(b-1) t0) = l_0
     holders: dict[Term, int] = {}  # s -> mask of the y with s a square of a term of parts[y]
+    orbit: dict[frozenset[Term], tuple] = {}  # swapped terms of a walked part -> (swap, squares)
     for y, x in enumerate(parts):
-        for s in _compositions(x, 2 * params.a, exact=True):
+        if x.terms in orbit:
+            squares = map(*orbit[x.terms])
+        else:
+            squares = _compositions(x, 2 * params.a, exact=True)
+            orbit.update({frozenset(map(swap, x.terms)): (swap, squares) for swap in _SLOT_SWAPS})
+        for s in squares:
             holders[s] = holders.get(s, 0) ^ 1 << y
     get = holders.get
     return [

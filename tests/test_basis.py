@@ -1,17 +1,22 @@
 """Tests for the basis layer: geometry, enumeration, grammar, serialization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowq import basis
 from chowq.basis import (
     ArityError,
     BasisElement,
     BasisFactor,
     Cycle,
     CycleSyntaxError,
+    FactorTables,
     GeometryError,
     QuadricGeometry,
+    _Images,
     cycle,
     cycle_from_json,
     cycle_to_json,
@@ -187,3 +192,31 @@ def test_render_canonical_order():
     g = QuadricGeometry(6)
     c = cycle(g, 1, [(l(0),), (h(2),), (h(0),), (l(3),)])
     assert render_cycle(c) == "h0 + h2 + l0 + l3"
+
+
+def _render_by_format(c):
+    """The text of a cycle with one f-string per factor: the oracle of the names row."""
+    if c.is_zero:
+        return "0"
+    return " + ".join(" x ".join(f"{'hl'[f & 1]}{f >> 1}" for f in t) for t in c.sorted_terms())
+
+
+@pytest.mark.parametrize("D", [0, 2, 6, 192])
+def test_render_reads_the_names_row_one_factor_at_a_time(D, monkeypatch):
+    """The names row gives each factor's old text, and holds only the factors rendered so far."""
+    monkeypatch.setattr(basis, "_TABLES", _Images(FactorTables))  # fresh tables for a new geometry
+    g = QuadricGeometry(D)
+    names = g.tables.names
+    assert not names
+    rng = random.Random(2004 + D)
+    seen = set()
+    for r in (1, 2, 3):
+        for _ in range(20):
+            terms = [tuple(rng.choice(g.factors()) for _ in range(r)) for _ in range(rng.randrange(6))]
+            c = cycle(g, r, terms)
+            assert render_cycle(c) == _render_by_format(c)
+            seen.update(f for t in c.terms for f in t)
+            assert set(names) == seen
+    for f in g.factors():
+        assert render_cycle(single(g, f)) == f"{f.kind}{f.index}"
+    assert set(names) == set(g.factors())

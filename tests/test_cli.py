@@ -1,11 +1,15 @@
 """Tests for the command-line interface: outputs and exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chowq
 from chowq.basis import QuadricGeometry, cycle_from_json, h, l, single
 from chowq.cli import _verdict, main
 
@@ -294,6 +298,24 @@ def test_verify_unknown_kind(capsys):
         capsys, "verify", "nonsense", "--n", "4", "--m", "3", "--p", "1"
     )
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["verify", "--n", "11", "--m", "3", "--p", "1", "--json"], b"{\n"),  # 180 KB: the write fails
+    (["mul", "-D", "8", "h1 x l3", "h2 x h0"], None),  # closed at once: the flush fails, data kept
+])
+def test_a_closed_stdout_ends_with_exit_1_and_no_traceback(argv, first):
+    """The reader closes after the first line of a certificate larger than a pipe holds, or
+    before reading anything; the exit flush must not fail again on the data left buffered."""
+    env = {**os.environ, "PYTHONPATH": str(Path(chowq.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered, as by default
+    with subprocess.Popen([sys.executable, "-m", "chowq.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        if first is not None:
+            assert child.stdout.readline() == first
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1 and "Traceback" not in err, err
 
 
 # ---------------------------------------------------------------------------

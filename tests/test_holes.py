@@ -26,8 +26,10 @@ from chowq.holes import (
     vishik_pattern,
 )
 from chowq.isotropy import generic_point_pullback
-from chowq.ring import mul, sym
+from chowq.ring import external_product, mul, sym, transpose
 from chowq.steenrod import steenrod_k
+from chowq.structure import _staircase
+from test_kernel import rule_target_rows
 from test_steenrod import steenrod_k_oracle
 
 VALID_PARAMS = [
@@ -163,6 +165,42 @@ def test_chi_shape():
             for f in t:
                 if f.kind == "h":
                     assert f.index % p.a == 0
+
+
+def ring_op_generators(params):
+    """chi_j = h^a x (inner staircase * (h^((j-1)a) x h^(c-b-ja))) and its two slot copies,
+    by mul, external_product and transpose: the oracle of mu_prime_generators."""
+    g, a, b, c = params.geometry, params.a, params.b, params.c
+    inner = _staircase(g, b + a, c)
+    out = []
+    for j in range(1, params.j_count + 1):
+        shifted = mul(inner, single(g, h((j - 1) * a), h(c - b - j * a)))
+        chi = external_product(single(g, h(a)), shifted)
+        out += [chi, transpose(chi, 0, 1), transpose(chi, 0, 2)]
+    return out
+
+
+TRIPLES_UP_TO_9 = [(n, m, p) for n in range(4, 10) for m in range(3, n) for p in range(1, m - 1)]
+
+
+def test_generators_match_the_ring_op_oracle_up_to_n9():
+    for nmp in TRIPLES_UP_TO_9:
+        p = HoleParams(*nmp)
+        assert mu_prime_generators(p) == ring_op_generators(p), nmp
+
+
+@pytest.mark.parametrize("nmp", [(7, 6, 1), (7, 3, 1)])
+def test_generators_take_no_ring_op(nmp, monkeypatch):
+    p = HoleParams(*nmp)
+    want = ring_op_generators(p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generators took a ring op")
+
+    for name in ("mul", "external_product", "transpose", "permute"):
+        monkeypatch.setattr(holes, name, refuse, raising=False)  # holes imports none of them
+        monkeypatch.setattr(ring, name, refuse)
+    assert mu_prime_generators(p) == want
 
 
 def test_generator_count():
@@ -430,9 +468,39 @@ def test_table_builds_no_cycle(nmp, monkeypatch):
     for module, name in [(holes, "mul"), (holes, "transpose"), (holes, "cycle"), (ring, "mul"),
                          (ring, "transpose"), (ring, "permute"), (steenrod, "steenrod_k"),
                          (basis, "cycle")]:
-        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(module, name, refuse, raising=module is not holes)  # holes has neither
     monkeypatch.setattr(basis.Cycle, "__post_init__", refuse)
     assert holes._target_rows(p, parts) == want and want[0] & 1
+
+
+def _counted_walks(monkeypatch):
+    """The parts that _target_rows walks with _compositions, in order."""
+    walked, walk = [], holes._compositions
+
+    def counted(x, *args, **kwargs):
+        walked.append(x)
+        return walk(x, *args, **kwargs)
+
+    monkeypatch.setattr(holes, "_compositions", counted)
+    return walked
+
+
+@pytest.mark.parametrize("nmp", [(7, 3, 1), (7, 6, 1)])
+def test_table_walks_once_per_slot_orbit_and_only_on_matching_terms(nmp, monkeypatch):
+    """mu0 and each chi_j are walked, their slot copies are not.  A copy that lost a term is
+    no transpose of chi_1 and gets its own walk, and its row is still that of its composites."""
+    p = HoleParams(*nmp)
+    parts = [build_mu_zero(p)] + mu_prime_generators(p)
+    walked = _counted_walks(monkeypatch)
+    assert holes._target_rows(p, parts) == rule_target_rows(p, parts)  # the oracle walks too
+    walked.clear()
+    holes._target_rows(p, parts)
+    assert walked == parts[0:1] + parts[1::3] and len(walked) == 1 + p.j_count
+    parts[2] = _less_first_term(parts[2])  # the 0 <-> 1 copy of chi_1
+    walked.clear()
+    rows = holes._target_rows(p, parts)
+    assert len(walked) == 1 + p.j_count + 1 and parts[2] in walked
+    assert rows == rule_target_rows(p, parts)
 
 
 def test_verify_bilinear_at_D_1016():
