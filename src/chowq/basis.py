@@ -114,6 +114,8 @@ class FactorTables:
     vanishes, in rows that end at h^d and l_0, filled by the walk over the
     submasks k of n = i or D - i + 1, the k with C(n, k) odd (Lucas);
     steenrod[f] lists the factors of the total image, the squares of f;
+    roots[top][f][k] is the one u with S^k(u) = f, or None, for k <= top: the
+    square rows read backward, each cut at the order bound top;
     quotients[t][g] lists the f with f * g = t; maps[r] is the CoordinateMaps
     of the arity-r terms; names[f] is the text of f, "h3" or "l5".  The rows
     trust their key: the public helpers check a factor against the geometry
@@ -133,6 +135,7 @@ class FactorTables:
         self.prod = _Images(self._product_row)
         self.squares = _Images(self._square_row)
         self.steenrod = _Images(lambda f: tuple(g for g in self.squares[f] if g is not None))
+        self.roots = _Images(lambda top: _Images(lambda f: self._root_row(f, top)))
         self.quotients = _Images(self._quotient_row)
         self.maps = _Images(lambda r: CoordinateMaps(self, r))
         self.names = _Images(lambda f: f"{'hl'[f & 1]}{f >> 1}")
@@ -172,6 +175,13 @@ class FactorTables:
             if not k:
                 return row
             k = (k - 1) & n
+
+    def _root_row(self, f: BasisFactor, top: int) -> list[BasisFactor | None]:
+        i, ks = f >> 1, range(top + 1)  # Lucas: C(n, k) is odd iff k & n == k
+        if f & 1:  # S^k(l_(i+k)) = C(D-i-k+1, k) l_i, and S^k(h^(i-k)) = C(i-k, k) h^i
+            return [self.l[i + k] if i + k <= self.d and k & (self.D - i - k + 1) == k else None
+                    for k in ks]
+        return [self.h[i - k] if k <= i and k & (i - k) == k else None for k in ks]
 
 
 class _Images(dict):

@@ -91,6 +91,9 @@ def derivative(alpha: Cycle, i: int, j: int) -> Cycle:
     """Product with h^i x h^j; valid for orders up to dim(alpha) - D."""
     if alpha.arity != 2:
         raise ArityError("derivatives are defined for arity-2 cycles")
+    for name, order in (("i", i), ("j", j)):
+        if type(order) is not int or order < 0:  # no bool, no float
+            raise ValueError(f"derivative order {name}={order!r} is not a non-negative integer")
     if alpha.is_zero:
         return alpha
     if not alpha.is_homogeneous:
@@ -98,7 +101,7 @@ def derivative(alpha: Cycle, i: int, j: int) -> Cycle:
     order_cap = alpha.dimension - alpha.geometry.D
     if order_cap < 0:
         raise ValueError("derivatives need dimension at least D")
-    if i < 0 or j < 0 or i + j > order_cap:
+    if i + j > order_cap:
         raise ValueError(f"derivative order {i}+{j} exceeds {order_cap}")
     factor = Cycle(alpha.geometry, 2, frozenset({h_power_term(alpha.geometry, i, j)}))
     return mul(alpha, factor)

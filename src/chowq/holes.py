@@ -12,15 +12,15 @@ computes
 and verifies that the cell h^a x l_(b-a-1) survives in every case.  Its survival
 contradicts the small-quadric structure theorem, which is what rules out the
 corresponding dimension value.  Both methods read one table of target bits,
-built once per certificate from the squares of the terms of the parts, one walk
-per slot orbit, with no Cycle, no composite and, for the generators, no ring op.
+built once per certificate by matching each candidate square to its roots in the
+parts, with no Cycle, no composite, no square row and, for the generators, no ring op.
 The default, bilinear, reads that table's quadratic form off its coefficients,
 an exact test at every size; brute force, its oracle, evaluates the form on all
 2^(3J) cases at once into one failure mask, one bit per case.
-With the tables warm, a certificate takes 0.0003-0.0005 / 0.002-0.004 / 0.05-0.07 s
-brute at (4,3,1) / (7,3,1) / (5,4,1) and 0.0012-0.0021 / 0.005-0.009 / 0.010-0.018 s
-bilinear at (7,6,1) / (9,8,1) / (10,9,1); the first at (11,3,1), D = 4 088, takes
-0.14-0.18 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
+With the tables warm, a certificate takes 0.0005 / 0.003 / 0.077-0.079 s brute at
+(4,3,1) / (7,3,1) / (5,4,1) and 0.0017-0.0019 / 0.007 / 0.013-0.014 s bilinear at
+(7,6,1) / (9,8,1) / (10,9,1); the first at (11,3,1), D = 4 088, takes
+0.067-0.074 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -196,35 +196,40 @@ def _target_rows(params: HoleParams, parts: list[Cycle]) -> list[int]:
     S_2a(parts[y]) gives inner_y the term s0 x s1 x s2 h^(b-1), and the pair
     (s, t of x) adds s0 t1 x s1 t2 to that image when s2 (h^(b-1) t0) = l_0.
     So bit y is the parity of the pairs with s0 t1 = T1, s1 t2 = T2 and that
-    product l_0.  Each step is linear, so each square s of a term of parts[y]
-    XORs bit y into holders[s], and row x XORs holders[s] over the s matched
-    by each t, repeats cancelling: no Cycle and no composite is built.  A part
-    with terms of two dimensions raises ValueError, as in _inner_parts.
-
-    S_2a commutes with permuting the slots, as a permuted composition of 2a is one, so a part
-    whose terms are an earlier walked part's terms through a swap of _SLOT_SWAPS takes that
-    part's squares through the same swap: one walk per slot orbit, matched on the term sets.
+    product l_0.  Only these candidate squares s are read.  owners[t] has bit y
+    when t is a term of parts[y].  A factor has at most one root of each order,
+    the u with S^k(u) = s_i, so for each composition k0 + k1 + k2 = 2a at most
+    one term squares to s, and holder(s), the XOR of the owners of those roots,
+    has bit y the parity of the squares of terms of parts[y] equal to s, as the
+    walk over every square gives.  Row x XORs holder(s) over the s matched by
+    each t of x, repeats cancelling: no Cycle, no composite and no square row is
+    built.  A part with terms of two dimensions raises ValueError, as in _inner_parts.
     """
-    tables = params.geometry.tables
+    tables, top = params.geometry.tables, 2 * params.a
     over1, over2 = map(tables.quotients.__getitem__, target_cell(params))
     over_l0, times = tables.quotients[l(0)], tables.prod[h(params.b - 1)]
     partners = [() if g is None else over_l0[g] for g in times]  # s2 (h^(b-1) t0) = l_0
-    holders: dict[Term, int] = {}  # s -> mask of the y with s a square of a term of parts[y]
-    orbit: dict[frozenset[Term], tuple] = {}  # swapped terms of a walked part -> (swap, squares)
+    owners: dict[Term, int] = {}  # t -> mask of the y with t a term of parts[y]
     for y, x in enumerate(parts):
-        if x.terms in orbit:
-            squares = map(*orbit[x.terms])
-        else:
-            squares = _compositions(x, 2 * params.a, exact=True)
-            orbit.update({frozenset(map(swap, x.terms)): (swap, squares) for swap in _SLOT_SWAPS})
-        for s in squares:
-            holders[s] = holders.get(s, 0) ^ 1 << y
-    get = holders.get
-    return [
-        reduce(xor, [get(s, 0) for t0, t1, t2 in x.terms
-                     for s in product(over1[t1], over2[t2], partners[t0])], 0)
-        for x in parts
-    ]
+        if not x.is_homogeneous:
+            raise ValueError("graded Steenrod operation needs a homogeneous input")
+        for t in x.terms:
+            owners[t] = owners.get(t, 0) ^ 1 << y
+    roots, get = tables.roots[top], owners.get
+
+    def holder(s: Term) -> int:  # r2 is None where the last root is missing: no owner
+        r0, r1, r2 = map(roots.__getitem__, s)
+        return reduce(xor, [get((u0, u1, r2[top - k0 - k1]), 0)
+                            for k0, u0 in enumerate(r0) if u0 is not None
+                            for k1, u1 in enumerate(r1[: top - k0 + 1]) if u1 is not None], 0)
+
+    rows = [0] * len(parts)
+    for (t0, t1, t2), mask in owners.items():
+        if over1[t1] and partners[t0]:  # t matches a candidate square
+            value = reduce(xor, map(holder, product(over1[t1], over2[t2], partners[t0])), 0)
+            for x in _terms_of(range(len(parts)), mask) if value else ():
+                rows[x] ^= value
+    return rows
 
 
 def _brute(rows: list[int]) -> int:

@@ -75,6 +75,12 @@ def test_derive(capsys):
     assert code == 0 and out.strip() == "h1 x l1 + l1 x h1"
 
 
+def test_derive_names_a_negative_order(capsys):
+    code, out, err = run(capsys, "derive", "-D", "6", "h0 x l3", "-i", "-1", "-j", "0")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.strip() == "error: derivative order i=-1 is not a non-negative integer"
+
+
 def test_syntax_and_geometry_errors(capsys):
     code, _, err = run(capsys, "mul", "-D", "8", "hx x l3", "h0 x h0")
     assert code == 1 and "error" in err

@@ -118,6 +118,19 @@ def test_derivative():
             assert essential_part(der) == der
 
 
+def test_derivative_checks_its_orders_before_the_zero_shortcut():
+    """A negative or non-int order is named, also on the zero cycle; "exceeds" is for the cap."""
+    g = QuadricGeometry(6)
+    for c in (zero(g, 2), single(g, h(0), l(3))):
+        for i, j, bad in [(-1, 0, "i=-1"), (0, -2, "j=-2"), (True, 0, "i=True"), (0, 1.0, "j=1.0")]:
+            with pytest.raises(ValueError, match=f"order {bad} is not a non-negative") as exc:
+                derivative(c, i, j)
+            assert type(exc.value) is ValueError
+    with pytest.raises(ValueError, match="exceeds 3"):
+        derivative(single(g, h(0), l(3)), 2, 2)
+    assert derivative(zero(g, 2), 5, 5) == zero(g, 2)
+
+
 def test_derivative_preserves_essential_counts():
     g = QuadricGeometry(8)
     a = single(g, h(0), l(2)) + single(g, l(2), h(0))

@@ -473,34 +473,31 @@ def test_table_builds_no_cycle(nmp, monkeypatch):
     assert holes._target_rows(p, parts) == want and want[0] & 1
 
 
-def _counted_walks(monkeypatch):
-    """The parts that _target_rows walks with _compositions, in order."""
-    walked, walk = [], holes._compositions
-
-    def counted(x, *args, **kwargs):
-        walked.append(x)
-        return walk(x, *args, **kwargs)
-
-    monkeypatch.setattr(holes, "_compositions", counted)
-    return walked
-
-
 @pytest.mark.parametrize("nmp", [(7, 3, 1), (7, 6, 1)])
-def test_table_walks_once_per_slot_orbit_and_only_on_matching_terms(nmp, monkeypatch):
-    """mu0 and each chi_j are walked, their slot copies are not.  A copy that lost a term is
-    no transpose of chi_1 and gets its own walk, and its row is still that of its composites."""
+def test_table_matches_candidates_to_roots_and_squares_no_term(nmp, monkeypatch):
+    """No part is walked with _compositions and a fresh geometry gets no square row: each
+    candidate square is matched to its roots.  The 0 <-> 1 copy of chi_1 less one term, no
+    transpose of chi_1, still gets the rows of its composites."""
+    monkeypatch.setattr(basis, "_TABLES", basis._Images(basis.FactorTables))
     p = HoleParams(*nmp)
     parts = [build_mu_zero(p)] + mu_prime_generators(p)
-    walked = _counted_walks(monkeypatch)
-    assert holes._target_rows(p, parts) == rule_target_rows(p, parts)  # the oracle walks too
-    walked.clear()
-    holes._target_rows(p, parts)
-    assert walked == parts[0:1] + parts[1::3] and len(walked) == 1 + p.j_count
-    parts[2] = _less_first_term(parts[2])  # the 0 <-> 1 copy of chi_1
-    walked.clear()
+    squares, walked = p.geometry.tables.squares, []
+    assert not squares  # the parts are built from products alone
+    monkeypatch.setattr(holes, "_compositions", lambda x, k, exact: walked.append(x))
     rows = holes._target_rows(p, parts)
-    assert len(walked) == 1 + p.j_count + 1 and parts[2] in walked
-    assert rows == rule_target_rows(p, parts)
+    assert walked == [] and not squares
+    monkeypatch.undo()
+    assert rows == rule_target_rows(p, parts)  # the oracle walks
+    parts[2] = _less_first_term(parts[2])
+    assert holes._target_rows(p, parts) == rule_target_rows(p, parts)
+
+
+def test_table_matches_composite_oracle_up_to_n7():
+    """Every triple with n <= 7, so a up to 8: the rows are those of the composites."""
+    for t in [(n, m, p) for n in range(4, 8) for m in range(3, n) for p in range(1, m - 1)]:
+        p = HoleParams(*t)
+        parts = [build_mu_zero(p)] + mu_prime_generators(p)
+        assert holes._target_rows(p, parts) == rule_target_rows(p, parts), t
 
 
 def test_verify_bilinear_at_D_1016():

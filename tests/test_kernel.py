@@ -113,6 +113,24 @@ def test_tables_match_rules_up_to_D_40():
     assert parities == {0, 1}
 
 
+def test_roots_match_square_rows_up_to_D_40():
+    """roots[top][s][k] is u exactly when squares[u][k] is s, for every k <= top <= 8."""
+    for D in range(41):
+        g = QuadricGeometry(D)
+        t, fs = g.tables, g.factors()
+        for top in range(9):
+            for s in fs:
+                row = t.roots[top][s]
+                assert len(row) == top + 1
+                for k in range(top + 1):
+                    want = [u for u in fs if k < len(t.squares[u]) and t.squares[u][k] is s]
+                    assert want == ([] if row[k] is None else [row[k]]), (D, top, s, k)
+    fresh = FactorTables(24)
+    assert not fresh.roots
+    assert fresh.roots[2][l(3)] == [l(3), l(4), None]  # C(21, 1) is odd, C(20, 2) even
+    assert list(fresh.roots) == [2] and list(fresh.roots[2]) == [l(3)]
+
+
 def test_tables_are_shared_per_dimension():
     assert QuadricGeometry(12).tables is QuadricGeometry(12).tables
     assert QuadricGeometry(12).tables is not QuadricGeometry(13).tables
