@@ -150,6 +150,11 @@ class FactorTables:
             odd[d] = L[0]
         return _interleave(L[i::-1] + [None] * (d - i), odd)
 
+    def shift(self, f: BasisFactor, k: int) -> BasisFactor | None:
+        """h^k * f off the code, as in _product_row: h^(i+k) is f + 2k, l_(i-k) f - 2k; or None."""
+        code = f - 2 * k if f & 1 else f + 2 * k
+        return self.factors[code] if 0 <= code < len(self.factors) else None
+
     def _quotient_row(self, t: BasisFactor) -> list[tuple[BasisFactor, ...]]:
         """Row g lists the factors f with f * g = t, h's before l's.  h^i h^j = h^(i+j)
         and h^i l_j = l_(j-i), so each g has at most one quotient besides l_d for
@@ -381,21 +386,21 @@ class Cycle:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _dims(self) -> set[int]:
+    @cached_property
+    def _dims(self) -> frozenset[int]:
         dim = self.geometry.tables.dims.__getitem__
-        return {sum(map(dim, t)) for t in self.terms}
+        return frozenset([sum(map(dim, t)) for t in self.terms])
 
     @property
     def is_homogeneous(self) -> bool:
-        return len(self._dims()) <= 1
+        return len(self._dims) <= 1
 
     @property
     def dimension(self) -> int:
         """Common dimension of all terms; fails on non-homogeneous or zero cycles."""
-        dims = self._dims()
-        if len(dims) != 1:
+        if len(self._dims) != 1:
             raise ValueError("dimension is defined only for homogeneous non-zero cycles")
-        return dims.pop()
+        return next(iter(self._dims))
 
     @property
     def codimension(self) -> int:
@@ -424,6 +429,17 @@ def cycle(geometry: QuadricGeometry, arity: int, terms: Iterable[Term] = ()) -> 
     if len(once) != len(terms):
         once = frozenset(t for t, n in Counter(terms).items() if n & 1)
     return Cycle(geometry, arity, once)
+
+
+def _reordered(c: Cycle, terms: Iterable[Term]) -> Cycle:
+    """The cycle of the distinct terms, each a term of the checked cycle c with its factors
+    reordered, not checked again: a reordering keeps the length, the factors and the
+    dimension of a term, so a non-zero result of a homogeneous c has its dimension."""
+    out = object.__new__(Cycle)
+    vars(out).update(geometry=c.geometry, arity=c.arity, terms=frozenset(terms))
+    if out.terms and len(c._dims) == 1:
+        vars(out)["_dims"] = c._dims
+    return out
 
 
 def zero(geometry: QuadricGeometry, arity: int) -> Cycle:

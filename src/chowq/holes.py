@@ -13,14 +13,14 @@ and verifies that the cell h^a x l_(b-a-1) survives in every case.  Its survival
 contradicts the small-quadric structure theorem, which is what rules out the
 corresponding dimension value.  Both methods read one table of target bits,
 built once per certificate by matching each candidate square to its roots in the
-parts, with no Cycle, no composite, no square row and, for the generators, no ring op.
-The default, bilinear, reads that table's quadratic form off its coefficients,
-an exact test at every size; brute force, its oracle, evaluates the form on all
-2^(3J) cases at once into one failure mask, one bit per case.
-With the tables warm, a certificate takes 0.0005 / 0.003 / 0.077-0.079 s brute at
-(4,3,1) / (7,3,1) / (5,4,1) and 0.0017-0.0019 / 0.007 / 0.013-0.014 s bilinear at
-(7,6,1) / (9,8,1) / (10,9,1); the first at (11,3,1), D = 4 088, takes
-0.067-0.074 s with its table rows (median of 5, 2 CPUs, Python 3.11.7).
+parts, with no Cycle, no composite, no square row and, for the generators, no ring op
+or product row.  The default, bilinear, reads that table's quadratic form off its
+coefficients, an exact test at every size; brute force, its oracle, evaluates the form
+on all 2^(3J) cases at once into one failure mask, one bit per case.  With the tables
+warm, a certificate takes 0.0003 / 0.0017 / 0.055-0.076 s brute at (4,3,1) / (7,3,1) /
+(5,4,1) and 0.0010-0.0012 / 0.004-0.006 / 0.007-0.011 s bilinear at (7,6,1) / (9,8,1) /
+(10,9,1); the first at (11,3,1), D = 4 088, takes 0.035-0.049 s with its table rows, at
+(13,12,1), J = 2 048, 0.10 s (0.96 s with 2 048 product rows); median of 5, 2 CPUs, Python 3.11.7.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .basis import (
     Cycle,
     QuadricGeometry,
     Term,
+    _reordered,
     cycle,
     h,
     l,
@@ -127,15 +128,16 @@ def mu_prime_generators(params: HoleParams) -> list[Cycle]:
     """The 3J admissible defect summands: chi_j per slot, slots 2 and 3 transposed.
 
     chi_j = h^a x (inner staircase * (h^((j-1)a) x h^(c-b-ja))) is read off the terms of the
-    one inner staircase, with no ring op; its copies reorder each term by _SLOT_SWAPS."""
+    one inner staircase, each factor shifted on its code (FactorTables.shift), with no ring op
+    and no product row; its copies reorder each term by _SLOT_SWAPS, unchecked."""
     g, a, b, c = params.geometry, params.a, params.b, params.c
-    prod, ha = g.tables.prod, h(a)
+    shift, ha = g.tables.shift, h(a)
     inner = _staircase(g, b + a, c).terms  # one staircase for every chi_j
     out = []
     for j in range(1, params.j_count + 1):
-        left, right = prod[h((j - 1) * a)], prod[h(c - b - j * a)]
-        chi = cycle(g, 3, filter(_NONZERO, [(ha, left[t0], right[t1]) for t0, t1 in inner]))
-        out += [chi] + [Cycle(g, 3, frozenset(map(swap, chi.terms))) for swap in _SLOT_SWAPS]
+        terms = [(ha, shift(t0, (j - 1) * a), shift(t1, c - b - j * a)) for t0, t1 in inner]
+        chi = cycle(g, 3, filter(_NONZERO, terms))
+        out += [chi] + [_reordered(chi, map(swap, chi.terms)) for swap in _SLOT_SWAPS]
     return out
 
 

@@ -7,6 +7,7 @@ FactorTables for the rules); higher arities multiply factorwise.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -18,6 +19,7 @@ from .basis import (
     GeometryError,
     QuadricGeometry,
     Term,
+    _reordered,
     cycle,
     h,
     term_is_essential,
@@ -93,7 +95,7 @@ def permute(alpha: Cycle, sigma: Sequence[int]) -> Cycle:
         raise ValueError(f"{sigma!r} is not a permutation of 0..{alpha.arity - 1}")
     if alpha.arity < 2:  # the identity; itemgetter of one index gives no tuple
         return alpha
-    return Cycle(alpha.geometry, alpha.arity, frozenset(map(itemgetter(*sigma), alpha.terms)))
+    return _reordered(alpha, map(itemgetter(*sigma), alpha.terms))
 
 
 def transpose(alpha: Cycle, i: int = 0, j: int = 1) -> Cycle:
@@ -106,8 +108,8 @@ def transpose(alpha: Cycle, i: int = 0, j: int = 1) -> Cycle:
 def sym(alpha: Cycle) -> Cycle:
     """GF(2) sum of all permutations of the factors."""
     sigmas = itertools.permutations(range(alpha.arity))
-    terms = [tuple(term[j] for j in sigma) for sigma in sigmas for term in alpha.terms]
-    return cycle(alpha.geometry, alpha.arity, terms)
+    counts = Counter([tuple(t[j] for j in sigma) for sigma in sigmas for t in alpha.terms])
+    return _reordered(alpha, [t for t, n in counts.items() if n & 1])
 
 
 def homogeneous_component(alpha: Cycle, dim: int) -> Cycle:

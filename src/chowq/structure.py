@@ -677,7 +677,7 @@ def check_all(
     rows = fam.groups[2].rows() if fam.max_arity >= 2 else []
     read = [_read_row(fam.geometry, split, v) for v in rows]
     for which, name in enumerate(("even_essential", "forbidden_cells", "pairs")[: 1 + 2 * shells]):
-        bad = [w for got in read for w in got[which]]
+        bad = list(dict.fromkeys([w for got in read for w in got[which]]))  # first-seen order
         report[name] = CheckResult(name, not bad, tuple(bad))
     if shells:
         try:

@@ -203,6 +203,22 @@ def test_generators_take_no_ring_op(nmp, monkeypatch):
     assert mu_prime_generators(p) == want
 
 
+@pytest.mark.parametrize("nmp", [(7, 6, 1), (7, 3, 1)])
+def test_generators_build_no_product_row_and_check_no_copy(nmp, monkeypatch):
+    """The factors are shifted on their codes: a fresh geometry gets no product row.  The
+    staircase's sym and the slot copies of chi_j run no Cycle.__post_init__, so the checks
+    are the staircase's one summand and each chi_j, and a copy has the dimension of chi_j."""
+    monkeypatch.setattr(basis, "_TABLES", basis._Images(basis.FactorTables))
+    checks = []
+    post_init = basis.Cycle.__post_init__
+    monkeypatch.setattr(basis.Cycle, "__post_init__", lambda c: checks.append(c) or post_init(c))
+    p = HoleParams(*nmp)
+    gens = mu_prime_generators(p)
+    assert not p.geometry.tables.prod
+    assert len(checks) == 1 + p.j_count and all(x is y for x, y in zip(checks[1:], gens[::3]))
+    assert all(vars(x)["_dims"] is vars(gens[3 * (k // 3)])["_dims"] for k, x in enumerate(gens))
+
+
 def test_generator_count():
     for nmp in [(4, 3, 1), (5, 4, 2)]:
         p = HoleParams(*nmp)

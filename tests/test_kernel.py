@@ -131,6 +131,18 @@ def test_roots_match_square_rows_up_to_D_40():
     assert list(fresh.roots) == [2] and list(fresh.roots[2]) == [l(3)]
 
 
+def test_shift_matches_the_h_rows_of_the_product_table_up_to_D_40():
+    """shift(f, k) is entry f of the product row of h^k, for every factor f and k <= d."""
+    for D in range(41):
+        t = QuadricGeometry(D).tables
+        for k in range(t.d + 1):
+            row = t.prod[h(k)]
+            assert all(t.shift(f, k) is row[f] for f in t.factors), (D, k)
+    fresh = FactorTables(24)
+    assert [fresh.shift(f, 3) for f in (h(9), h(10), l(3), l(2))] == [h(12), None, l(0), None]
+    assert not fresh.prod
+
+
 def test_tables_are_shared_per_dimension():
     assert QuadricGeometry(12).tables is QuadricGeometry(12).tables
     assert QuadricGeometry(12).tables is not QuadricGeometry(13).tables

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chowq.basis import (
     ArityError,
+    Cycle,
     GeometryError,
     QuadricGeometry,
     cycle,
@@ -156,6 +157,24 @@ def test_sym():
         fs = g.factors()
         a = cycle(g, r, [tuple(fs[:r]), tuple(fs[1 : r + 1])])
         assert sym(sym(a)).is_zero
+
+
+def test_reorderings_run_no_second_check(monkeypatch):
+    """sym and permute reorder the terms of a checked cycle: no Cycle.__post_init__ runs, and a
+    non-zero result of a homogeneous input keeps its dimension without summing it again."""
+    g = QuadricGeometry(6)
+    a, mixed = single(g, h(0), h(1), l(2)), cycle(g, 2, [(h(0), l(1)), (h(1), l(1))])
+    checks = []
+    post_init = Cycle.__post_init__
+    monkeypatch.setattr(Cycle, "__post_init__", lambda c: checks.append(c) or post_init(c))
+    images = [sym(a), permute(a, (2, 0, 1)), transpose(a, 0, 2), sym(mixed)]
+    assert checks == []
+    assert [c.dimension for c in images[:3]] == [a.dimension] * 3 and "_dims" in vars(images[0])
+    assert "_dims" not in vars(images[3]) and not images[3].is_homogeneous
+    zero_image = sym(images[0])  # cancels to zero: no dimension is passed on
+    assert zero_image.is_zero and "_dims" not in vars(zero_image)
+    with pytest.raises(ValueError, match="non-zero"):
+        zero_image.dimension
 
 
 def test_components_and_essential():

@@ -7,8 +7,9 @@ earlier bodies, which decode each row into a Cycle and recompute its
 dimension; they are compared with the reader row by row, and with the public
 checkers and check_known, on the golden families, random generator sets, the
 single-cell mutations of the D=6 and D=10 staircases and the D=14, 22 and 30
-staircases.  The last tests pin the arity guard and the ("slice", k)
-witnesses of check_known.
+staircases.  check_all lists each witness once, in first-seen order.  The
+last tests pin that, the arity guard and the ("slice", k) witnesses of
+check_known.
 """
 
 import pytest
@@ -157,7 +158,7 @@ def assert_reader_matches(family):
             continue
         args = () if name == "even_essential" else (closed.splitting,)
         members = [decode_cycle(closed.geometry, 2, v) for v in closed.groups[2].rows()]
-        bad = [w for m in members for w in check(m, *args).witnesses]
+        bad = list(dict.fromkeys([w for m in members for w in check(m, *args).witnesses]))
         assert report[name] == CheckResult(name, not bad, tuple(bad))
 
 
@@ -204,6 +205,15 @@ def test_one_cycle_checkers_need_arity_two(alpha):
     for check, args in zip(checks, [(), (SPLIT,), (SPLIT,)]):
         with pytest.raises(ArityError, match="arity-2"):
             check(alpha, *args)
+
+
+@pytest.mark.parametrize("D, generator", [(6, (l(0), l(0))), (2, (l(0), h(0))), (4, (l(0), h(0))),
+                                          (6, (l(0), h(0)))])
+def test_check_all_lists_each_witness_once(D, generator):
+    """Two rows of the closed group give the witness (D, 1); check_all lists it once."""
+    g = QuadricGeometry(D)
+    report = check_all(family_from_generators(g, 2, [single(g, *generator)]))
+    assert report["even_essential"].witnesses == ((D, 1),)
 
 
 def with_staircase(*extra):
